@@ -189,10 +189,18 @@ def _load_weights(net: NetworkSpec, directory: str) -> dict:
             path = os.path.join(directory, f"layer{idx:02d}.json")
             with open(path, "r", encoding="utf-8") as f:
                 obj = json.load(f)
+            if not isinstance(obj, dict):
+                raise NetworkFormatError(f"{path}: expected a JSON object with keys 'c' and 'b'")
             unknown = set(obj) - {"c", "b", "s"}
             if unknown:
                 raise NetworkFormatError(f"{path}: unknown keys {sorted(unknown)}")
-            weights[idx] = ScaleShiftParams(tuple(obj["c"]), tuple(obj["b"]), float(obj.get("s", 1.0)))
+            missing = {"c", "b"} - set(obj)
+            if missing:
+                raise NetworkFormatError(f"{path}: missing keys {sorted(missing)}")
+            try:
+                weights[idx] = ScaleShiftParams(tuple(obj["c"]), tuple(obj["b"]), float(obj.get("s", 1.0)))
+            except TypeError as e:
+                raise NetworkFormatError(f"{path}: {e}") from e
     return weights
 
 

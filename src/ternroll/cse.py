@@ -60,8 +60,9 @@ class ExtractionEvent:
     occurrences: int
 
 
-def _rows_of(m: TernaryMatrix) -> list[dict[int, int]]:
-    return [dict(m.row_terms(r)) for r in range(m.rows)]
+def _rows_of(signs: np.ndarray) -> list[dict[int, int]]:
+    """Nonzero {column: sign} of each row of a sign matrix, in column order."""
+    return [{int(c): int(row[c]) for c in np.flatnonzero(row)} for row in signs]
 
 
 def _total_terms(rows_and_defs) -> int:
@@ -70,7 +71,7 @@ def _total_terms(rows_and_defs) -> int:
 
 def no_cse(m: TernaryMatrix) -> CseResult:
     """Identity result: every row kept verbatim, no shared definitions."""
-    outputs = tuple(from_dict(row) for row in _rows_of(m))
+    outputs = tuple(from_dict(row) for row in _rows_of(m.entries))
     return CseResult(m.cols, (), outputs, CseStats(0, sum(len(o) for o in outputs)))
 
 
@@ -79,12 +80,12 @@ def no_cse(m: TernaryMatrix) -> CseResult:
 
 
 class PairTable:
-    """Occurrence sets for canonical two-term patterns.
+    """Occurrence sets for canonical two-term patterns, built from scratch.
 
     A pattern {s_u*x_u, s_v*x_v} inside a row is keyed as (u, v, s_u*s_v)
-    with u < v, so a pair and its global negation share one entry; the
-    orientation is recovered from the row when rewriting. Mutators return
-    the touched keys so callers can refresh any priority structure.
+    with u < v, so a pair and its global negation share one entry.
+    ``td_cse`` keeps these occurrences as a dense key array; this table is
+    the reference that ``check_table=True`` compares it with.
     """
 
     __slots__ = ("occ",)
@@ -100,41 +101,36 @@ class PairTable:
     def from_rows(cls, rows: list[dict[int, int]]) -> "PairTable":
         t = cls()
         for idx, row in enumerate(rows):
-            t.add_row_pairs(idx, row)
+            for (u, su), (v, sv) in itertools.combinations(row.items(), 2):
+                t.occ.setdefault(t.key(u, su, v, sv), set()).add(idx)
         return t
 
-    def add_row_pairs(self, idx: int, row: dict[int, int]) -> None:
-        for (u, su), (v, sv) in itertools.combinations(row.items(), 2):
-            self.occ.setdefault(self.key(u, su, v, sv), set()).add(idx)
 
-    def add_var_pairs(self, idx: int, row: dict[int, int], var: int) -> list[tuple[int, int, int]]:
-        sv = row[var]
-        touched = []
-        for u, su in row.items():
-            if u == var:
-                continue
-            k = self.key(u, su, var, sv)
-            self.occ.setdefault(k, set()).add(idx)
-            touched.append(k)
-        return touched
+def _pair_keys(signs: np.ndarray, cols: np.ndarray, n_vars: int) -> np.ndarray:
+    """Keys of the pairs (c, v) for each c in ``cols`` and every v < n_vars.
 
-    def remove_var_pairs(self, idx: int, row: dict[int, int], var: int) -> list[tuple[int, int, int]]:
-        sv = row[var]
-        touched = []
-        for u, su in row.items():
-            if u == var:
-                continue
-            k = self.key(u, su, var, sv)
-            s = self.occ.get(k)
-            if s is not None:
-                s.discard(idx)
-                if not s:
-                    del self.occ[k]
-            touched.append(k)
-        return touched
-
-    def counts(self) -> dict[tuple[int, int, int], int]:
-        return {k: len(v) for k, v in self.occ.items()}
+    ``signs`` is the (rows x variables) working sign matrix. The result has
+    shape (len(cols), n_vars, 2); orientation 0 counts the rows where both
+    terms have the same sign, orientation 1 those where they differ. A pair
+    occurring in count >= 2 rows, the first of which is row f, gets the key
+    count * R + (R - 1 - f), where R is the row count; any other pair gets 0.
+    """
+    n_rows = signs.shape[0]
+    small = np.min_scalar_type(-1 - n_rows)  # holds every count and rank below
+    rows = np.flatnonzero(signs[:, cols].any(axis=1))
+    # relative sign of each (c, v) term pair in each row: +1, -1, or 0 if absent
+    rel = signs[np.ix_(rows, cols)].T[:, :, None] * signs[rows, :n_vars][None, :, :]
+    ranked = rel * (n_rows - 1 - rows).astype(small)[None, :, None]
+    present = np.abs(rel).sum(axis=1, dtype=small).astype(np.int64)
+    signed = rel.sum(axis=1, dtype=small)
+    same, mixed = (present + signed) // 2, (present - signed) // 2
+    # with two or more hits, some hit is not the last row, so its rank is > 0
+    # and the extreme rank is the first hit's
+    keys = np.empty((len(cols), n_vars, 2), dtype=np.int64)
+    keys[..., 0] = np.where(same >= 2, same * n_rows + ranked.max(axis=1, initial=0), 0)
+    keys[..., 1] = np.where(mixed >= 2, mixed * n_rows - ranked.min(axis=1, initial=0), 0)
+    keys[np.arange(len(cols)), cols] = 0
+    return keys
 
 
 def td_cse(
@@ -151,58 +147,86 @@ def td_cse(
     orientation sign, until no pair occurs more than once. Frequency ties go
     to the pair appearing earliest in the current system (smallest containing
     row index), then to the smallest (i, j) with the same-sign orientation
-    before the mixed one. The occurrence table is updated incrementally; each
-    rewrite touches only pairs involving the affected variables.
-    ``check_table`` re-derives the table from scratch after every extraction
-    and fails loudly on any divergence (slow, for testing).
+    before the mixed one.
+
+    The working rows are an int8 sign matrix S whose column index is the
+    variable id. Each pair (u, v) in orientation o (0 same sign, 1 mixed)
+    has one integer key K[u, v, o] = count * R + (R - 1 - first row), or 0
+    when it occurs in fewer than two rows (R is the row count), so one
+    integer orders by frequency, then first row. K is symmetric. With
+    best[u] = max K[u], the first argmax of best is the smallest i among the
+    winners and the first argmax of K[i] the smallest j, then the same-sign
+    orientation: the tie-break above. An extraction changes only the pairs
+    of i, j and the new variable, so those three columns of K are recomputed
+    from S, and best only for rows whose maximum fell. ``check_table``
+    compares K with the keys of ``PairTable.from_rows`` after every
+    extraction and fails loudly on any divergence (slow, for testing).
     """
-    rows = _rows_of(m)
-    table = PairTable.from_rows(rows)
-    heap: list[tuple[int, int, int, int, int, int]] = []
-
-    def push(pair: tuple[int, int, int]) -> None:
-        occ = table.occ.get(pair)
-        if occ is not None and len(occ) >= 2:
-            i, j, rel = pair
-            heapq.heappush(heap, (-len(occ), min(occ), i, j, 0 if rel == 1 else 1, rel))
-
-    for pair in table.occ:
-        push(pair)
+    n_rows, n_inputs = m.rows, m.cols
+    n_terms = int(np.count_nonzero(m.entries))
+    # each extraction removes at least two row terms
+    most = n_terms // 2 if max_extractions is None else min(n_terms // 2, max_extractions)
+    # room for n_terms // 4 new variables, about what measured runs needed;
+    # grown by half when full, since the key array takes cap**2 space
+    cap = n_inputs + min(most, n_terms // 4 + 1)
+    key_type = np.min_scalar_type(n_rows * n_rows + n_rows - 1)
+    signs = np.zeros((n_rows, cap), dtype=np.int8)
+    signs[:, :n_inputs] = m.entries
+    keys = np.zeros((cap, cap, 2), dtype=key_type)
+    step = max(1, (1 << 20) // (n_rows * n_inputs))
+    for lo in range(0, n_inputs, step):
+        cols = np.arange(lo, min(lo + step, n_inputs))
+        keys[cols, :n_inputs] = _pair_keys(signs, cols, n_inputs)
+    best = np.zeros(cap, dtype=key_type)
+    best[:n_inputs] = keys[:n_inputs, :n_inputs].max(axis=(1, 2))
 
     definitions: list[Expression] = []
-    next_var = m.cols
-    while heap:
-        if max_extractions is not None and len(definitions) >= max_extractions:
+    n = n_inputs
+    while max_extractions is None or len(definitions) < max_extractions:
+        i = int(best[:n].argmax())
+        if best[i] == 0:
             break
-        negc, minrow, i, j, _, rel = heapq.heappop(heap)
-        pair = (i, j, rel)
-        occ = table.occ.get(pair)
-        if occ is None or len(occ) < 2:
-            continue
-        if (-len(occ), min(occ)) != (negc, minrow):
-            continue  # stale entry; a fresh one was pushed on mutation
-        new = next_var
-        next_var += 1
-        pattern = Expression(((i, 1), (j, rel)), id=new)
+        j, o = divmod(int(keys[i, :n].argmax()), 2)
+        rel = 1 - 2 * o
+        if n == cap:
+            cap = min(n_inputs + most, cap + (cap - n_inputs) // 2 + 1)
+            signs = np.pad(signs, ((0, 0), (0, cap - n)))
+            best = np.pad(best, (0, cap - n))
+            grown = np.zeros((cap, cap, 2), dtype=key_type)
+            grown[:n, :n] = keys
+            keys = grown
+        occ = np.flatnonzero(signs[:, i] * signs[:, j] == rel)
+        signs[occ, n] = signs[occ, i]
+        signs[occ, i] = 0
+        signs[occ, j] = 0
+        pattern = Expression(((i, 1), (j, rel)), id=n)
         definitions.append(pattern)
         if trace is not None:
-            trace.append(ExtractionEvent(new, pattern, len(occ)))
-        touched: set[tuple[int, int, int]] = set()
-        for r in sorted(occ):
-            row = rows[r]
-            sigma = row[i]
-            touched.update(table.remove_var_pairs(r, row, i))
-            del row[i]
-            touched.update(table.remove_var_pairs(r, row, j))
-            del row[j]
-            row[new] = sigma
-            touched.update(table.add_var_pairs(r, row, new))
-        for p in touched:
-            push(p)
-        if check_table and table.occ != PairTable.from_rows(rows).occ:
-            raise RuntimeError("incremental pair table diverged from the from-scratch table")
+            trace.append(ExtractionEvent(n, pattern, len(occ)))
+        n += 1
+        cols = np.array([i, j, n - 1])
+        old = keys[cols, :n]
+        new = _pair_keys(signs, cols, n)
+        keys[cols, :n] = new
+        for c, col in zip(cols, new):
+            keys[:n, c] = col
+        # per variable v, the largest key among the pairs (c, v) before and after
+        old_max = np.maximum(old[..., 0], old[..., 1]).max(axis=0)
+        new_max = np.maximum(new[..., 0], new[..., 1]).max(axis=0)
+        stale = (old_max == best[:n]) & (new_max < old_max)
+        stale[cols] = True
+        np.maximum(best[:n], new_max, out=best[:n], casting="unsafe")
+        stale = np.flatnonzero(stale)
+        best[stale] = keys[stale, :n].max(axis=(1, 2))
+        if check_table:
+            want = np.zeros((n, n, 2), dtype=np.int64)
+            for (u, v, r), hits in PairTable.from_rows(_rows_of(signs[:, :n])).occ.items():
+                if len(hits) >= 2:
+                    want[[u, v], [v, u], (1 - r) // 2] = len(hits) * n_rows + n_rows - 1 - min(hits)
+            if not (np.array_equal(keys[:n, :n], want) and np.array_equal(best[:n], want.max(axis=(1, 2)))):
+                raise RuntimeError("incremental pair keys diverged from the from-scratch table")
 
-    outputs = tuple(from_dict(row) for row in rows)
+    outputs = tuple(from_dict(row) for row in _rows_of(signs[:, :n]))
     total = _total_terms([d.terms for d in definitions]) + _total_terms([o.terms for o in outputs])
     return CseResult(m.cols, tuple(definitions), outputs, CseStats(len(definitions), total))
 
@@ -382,7 +406,7 @@ def bu_cse(
     orientation, then the first row pair in row order. Stops when the largest
     entry is at most one.
     """
-    rows = _rows_of(m)
+    rows = _rows_of(m.entries)
     n_outputs = len(rows)
     pm = PatternMatrix(rows, m.cols)
     def_rows: list[tuple[int, int]] = []  # (variable, working-row index)

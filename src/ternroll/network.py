@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -108,8 +109,8 @@ class NetworkSpec:
         object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise NetworkFormatError("network needs at least one layer")
-        if self.clock_hz <= 0:
-            raise NetworkFormatError("clock_hz must be positive")
+        if not (math.isfinite(self.clock_hz) and self.clock_hz >= 1):
+            raise NetworkFormatError(f"clock_hz must be a finite number >= 1 Hz, got {self.clock_hz}")
 
     @property
     def input_width(self) -> int:
@@ -210,7 +211,10 @@ def parse_network(text: str) -> NetworkSpec:
     scale = (
         _parse_format(obj["scale_format"], "scale_format") if "scale_format" in obj else SCALE_FORMAT
     )
-    clock = float(obj.get("clock_hz", 125e6))
+    try:
+        clock = float(obj.get("clock_hz", 125e6))
+    except (TypeError, ValueError) as e:
+        raise NetworkFormatError(f"clock_hz: {e}") from e
     net = NetworkSpec(tuple(layers), clock, act, scale)
     net.validate()
     return net

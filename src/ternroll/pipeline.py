@@ -301,6 +301,11 @@ def simulate(
             f"image {img.width}x{img.height}x{img.channels} does not match network input "
             f"{net.input_width}x{net.input_width}x{net.input_channels}"
         )
+    if img.frac_bits != net.act_format.frac_bits:
+        raise ValueError(
+            f"image has {img.frac_bits} fraction bits, the network's activation format "
+            f"{net.act_format} has {net.act_format.frac_bits}"
+        )
     cur: object = img  # ImageStream on the image side, 1-D np vector after Mux
     for idx, layer in enumerate(net.layers):
         nxt = net.layers[idx + 1] if idx + 1 < len(net.layers) else None
@@ -610,6 +615,9 @@ def parse_img(blob: bytes) -> ImageStream:
         raise ImageFormatError(f"image body is neither text samples nor a 16-bit raster: {e}") from e
     if len(vals) != count:
         raise ImageFormatError(f"expected {count} samples, found {len(vals)}")
+    bad = next((v for v in vals if not -(1 << 15) <= v < (1 << 15)), None)
+    if bad is not None:
+        raise ImageFormatError(f"sample {bad} is outside the signed 16-bit range [-32768, 32767]")
     return ImageStream(np.array(vals, dtype=np.int64).reshape(h, w, d), frac)
 
 

@@ -249,3 +249,48 @@ def test_simulate_requires_weights_and_image(tmp_path):
     r = run_cli(["simulate", str(net_path)])
     assert r.returncode == 1
     assert "simulate requires --weights" in r.stderr
+
+
+def _tiny_network_files(tmp_path, rng):
+    """The tiny test network, its weights directory and a matching image."""
+    from .test_pipeline import tiny_net, tiny_weights
+
+    net_path = tmp_path / "net.json"
+    save_network(tiny_net(), str(net_path))
+    w = tiny_weights(rng)
+    wdir = tmp_path / "weights"
+    wdir.mkdir()
+    dump_tmx(w[1], str(wdir / "layer01.tmx"))
+    (wdir / "layer02.json").write_text(json.dumps({"c": list(w[2].c), "b": list(w[2].b)}))
+    dump_tmx(w[5], str(wdir / "layer05.tmx"))
+    img_path = tmp_path / "img.txt"
+    dump_img(ImageStream(rng.integers(-(2**11), 2**11, size=(8, 8, 1))), str(img_path))
+    return str(net_path), wdir, str(img_path)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [{"b": [0.0] * 4}, {"c": [1.0] * 4}, 4.0, {"c": 1.0, "b": 0.0}],
+    ids=["no-c", "no-b", "not-an-object", "scalar-c"],
+)
+def test_bad_scale_shift_file_exits_2(tmp_path, capsys, rng, body):
+    net_path, wdir, img_path = _tiny_network_files(tmp_path, rng)
+    (wdir / "layer02.json").write_text(json.dumps(body))
+    assert main(["simulate", net_path, img_path, "--weights", str(wdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "layer02.json" in err
+
+
+def test_simulate_image_of_other_fraction_bits_exits_2(tmp_path, capsys, rng):
+    net_path, wdir, img_path = _tiny_network_files(tmp_path, rng)
+    text = Path(img_path).read_text().split("\n", 1)
+    Path(img_path).write_text("img 8 8 1 9\n" + text[1])
+    assert main(["simulate", net_path, img_path, "--weights", str(wdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "fraction bits" in err
+
+
+def test_report_throughput_rejects_infinite_clock(capsys):
+    assert main(["report-throughput", VGG7_CONFIG, "--clock", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "clock_hz" in err

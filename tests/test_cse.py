@@ -104,6 +104,16 @@ def test_td_termination_no_pair_twice(m7x6):
     assert all(len(occ) < 2 for occ in table.occ.values())
 
 
+def test_td_grows_past_its_initial_capacity():
+    # 18 terms start with room for 18 // 4 + 1 = 5 new variables; 8 are needed
+    m = TernaryMatrix(np.array([[1] * 9, [-1] * 9], dtype=np.int8))
+    r = td_cse(m, check_table=True)
+    assert [d.terms for d in r.definitions] == [
+        terms((a, 1), (a + 1, 1)) for a in range(0, 16, 2)
+    ]
+    assert [o.terms for o in r.outputs] == [terms((16, 1)), terms((16, -1))]
+
+
 def test_td_deterministic(rng):
     m = random_ternary(12, 16, 0.5, rng)
     a = td_cse(m)

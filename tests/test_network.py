@@ -115,3 +115,23 @@ def test_vgg7_shape():
 def test_vgg7_round_trips_through_json():
     net = vgg7_cifar10()
     assert parse_network(format_network(net)) == net
+
+
+@pytest.mark.parametrize("clock", [float("inf"), float("nan"), 1e-300, 0.5, 0.0, -1e8])
+def test_clock_must_be_finite_and_at_least_one_hz(clock):
+    layers = (LayerSpec("Buffer", 4, 1),)
+    with pytest.raises(NetworkFormatError, match="clock_hz"):
+        NetworkSpec(layers, clock)
+    obj = small_net_obj()
+    obj["clock_hz"] = clock
+    with pytest.raises(NetworkFormatError, match="clock_hz"):
+        parse_network(json.dumps(obj))
+    assert NetworkSpec(layers, 1.0).clock_hz == 1.0
+
+
+@pytest.mark.parametrize("clock", [None, "fast", [1e8]])
+def test_clock_must_be_a_number(clock):
+    obj = small_net_obj()
+    obj["clock_hz"] = clock
+    with pytest.raises(NetworkFormatError, match="clock_hz"):
+        parse_network(json.dumps(obj))

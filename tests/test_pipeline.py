@@ -344,6 +344,14 @@ def test_simulate_shape_errors(rng):
         simulate(net, w, ImageStream(np.zeros((8, 8, 1), dtype=np.int64)))
 
 
+def test_simulate_rejects_image_of_other_fraction_bits(rng):
+    net = tiny_net()
+    w = tiny_weights(rng)
+    assert net.act_format.frac_bits == 4
+    with pytest.raises(ValueError, match="fraction bits"):
+        simulate(net, w, ImageStream(np.zeros((8, 8, 1), dtype=np.int64), frac_bits=9))
+
+
 def test_full_vgg7_simulate_with_patchwise_oracle(rng):
     net = vgg7_cifar10()
     weights = {}
@@ -492,3 +500,11 @@ def test_img_header_errors():
         parse_img(b"img 2 2 1 4\n0 0 0\n")
     with pytest.raises(ImageFormatError):
         parse_img(b"img 2 2 1 4\n0 0 0 0 9\n")
+
+
+def test_img_text_samples_must_fit_16_bits():
+    img = parse_img(b"img 2 1 1 4\n32767 -32768\n")
+    assert img.data.reshape(-1).tolist() == [32767, -32768]
+    for sample in (b"32768", b"-32769", b"99999999999999999999999"):
+        with pytest.raises(ImageFormatError, match="16-bit"):
+            parse_img(b"img 2 1 1 4\n0 " + sample + b"\n")
