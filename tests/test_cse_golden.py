@@ -1,7 +1,8 @@
 """Golden fingerprints of the CSE passes over a seeded corpus.
 
-Each constant is the sha256 of the ``format_cse`` text (or, for ``td``, of
-the extraction trace) that a pass produces on one part of the corpus. The
+Each constant is the sha256 of the ``format_cse`` text, or of the
+extraction trace (variable, pattern and occurrences per step), that a pass
+produces on one part of the corpus. The
 constants pin the output of ``td`` and ``bu`` byte for byte: a change to
 either engine that alters any definition, output row, tie-break or
 occurrence count changes a fingerprint.
@@ -60,6 +61,14 @@ GOLDEN_TD_TRACE = {
     "64x576_z75": "51118bcdf16b3de055453a8e3cf65e9b1048e590cd02bafbe6adac6409576655",
 }
 
+GOLDEN_BU_TRACE = {
+    "c1_7x6": "7a45cf692865764fca093bb9d470742ef1d0c885a6c09e18c4b0e5d9b7455445",
+    "small_50": "a3f31085dce8c92e5acf1eb63997012417e975dfc231ee393769267f75d4a822",
+    "64x27_z41": "f686f49f328d7cf23e4a2cba47285f7f4370173ac52d89630f5b1a39cf973ee4",
+    "16x576_z74": "9d4e5e6e87bad60f05419be4790f7a8e4cd638a6c826d7fc68c276157e6e9cb0",
+    "64x576_z75": "e4d4d02b1ed52e6a32fea3e84b850b47f2e4a6f9870accfe6c95c03a6d671e23",
+}
+
 
 def _sha(parts: list[str]) -> str:
     return hashlib.sha256("--\n".join(parts).encode()).hexdigest()
@@ -72,11 +81,20 @@ def test_cse_output_fingerprint(method, case):
     assert _sha(texts) == GOLDEN[method, case]
 
 
-@pytest.mark.parametrize("case", list(CORPUS))
-def test_td_trace_fingerprint(case):
+def _trace_sha(method, case) -> str:
     lines = []
     for m in CORPUS[case]():
         trace = []
-        td_cse(m, trace=trace)
+        METHODS[method](m, trace=trace)
         lines.append("".join(f"{ev.var} {ev.pattern} {ev.occurrences}\n" for ev in trace))
-    assert _sha(lines) == GOLDEN_TD_TRACE[case]
+    return _sha(lines)
+
+
+@pytest.mark.parametrize("case", list(CORPUS))
+def test_td_trace_fingerprint(case):
+    assert _trace_sha("td", case) == GOLDEN_TD_TRACE[case]
+
+
+@pytest.mark.parametrize("case", list(CORPUS))
+def test_bu_trace_fingerprint(case):
+    assert _trace_sha("bu", case) == GOLDEN_BU_TRACE[case]
