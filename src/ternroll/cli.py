@@ -2,9 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 bad input, 3 internal invariant
 violation. Output files are written atomically (temp file, then rename) so a
-failing run never leaves a partial artifact. The TERNROLL_THREADS environment
-variable caps internal per-layer parallelism; outputs are order-stable
-regardless.
+failing run never leaves a partial artifact.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from . import netlist
 from .cse import CseFormatError, CseResult, bu_cse, format_cse, no_cse, parse_cse, td_cse, verify_equivalence
@@ -72,27 +69,6 @@ def _atomic_write(path: str, data: str | bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _threads() -> int:
-    env = os.environ.get("TERNROLL_THREADS", "")
-    cap = min(4, os.cpu_count() or 1)
-    if env:
-        try:
-            cap = max(1, min(cap, int(env)))
-        except ValueError:
-            raise ValueError(f"TERNROLL_THREADS must be an integer, got {env!r}")
-    return cap
-
-
-def _parallel_map(fn, items):
-    """Order-stable map, parallel across layers when allowed."""
-    n = _threads()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 def _run_cse(method: str, m: TernaryMatrix) -> CseResult:
@@ -239,7 +215,9 @@ def _cmd_report_throughput(args) -> int:
     print(f"pipeline latency ~= {rep.latency_cycles} cycles (analytic estimate)")
     for idx, hw in sorted(rep.fifo_high_water.items()):
         print(f"fifo {idx} high-water ~= {hw} values (analytic estimate)")
-    print(f"{rep.frames_per_sec} frames/sec")
+    # below one frame a second the whole-frame count reads 0: give the rate
+    fps = rep.frames_per_sec if rep.frames_per_sec >= 1 else float(rep.fps_exact)
+    print(f"{fps} frames/sec")
     return 0
 
 
@@ -252,15 +230,12 @@ def _cmd_report_ops(args) -> int:
             i: w for i, w in _load_weights(net, args.weights).items() if isinstance(w, TernaryMatrix)
         }
         if args.with_cse:
-            conv_idx = [i for i, l in enumerate(net.layers) if l.kind == "Conv"]
-
-            def layer_cost(i: int) -> tuple[int, int]:
-                res = _run_cse(args.method, weights[i])
-                interval = net.inferred_intervals()[i]
-                g = schedule_serial(build_tree(res, args.arity), interval)
-                return i, cost(g).adds_plus_regs
-
-            cse_costs = dict(_parallel_map(layer_cost, conv_idx))
+            intervals = net.inferred_intervals()
+            cse_costs = {}
+            for i, layer in enumerate(net.layers):
+                if layer.kind == "Conv":
+                    g = schedule_serial(build_tree(_run_cse(args.method, weights[i]), args.arity), intervals[i])
+                    cse_costs[i] = cost(g).adds_plus_regs
     table = op_count(net, weights, cse_costs)
     print(f"{'Layer':<8} {'Formula':<22} {'MACs':>12} {'WithSparsity':>14} {'WithCSE':>12}")
     for r in table.rows:

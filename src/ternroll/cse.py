@@ -235,91 +235,161 @@ def td_cse(
 # Bottom-up extraction
 
 
+def _pack(signs: np.ndarray, words: int) -> np.ndarray:
+    """(rows, 2, words) uint64 bitsets of the + and the - terms of each row.
+
+    Variable v is bit 63 - v % 64 of word v // 64, so reading a row's words
+    in order, most significant bit first, visits its variables in order.
+    """
+    planes = np.zeros((signs.shape[0], 2, 64 * words), dtype=bool)
+    planes[:, 0, : signs.shape[1]] = signs > 0
+    planes[:, 1, : signs.shape[1]] = signs < 0
+    return np.packbits(planes, axis=-1).view(">u8").astype(np.uint64)
+
+
+def _unpack(bits: np.ndarray, n_vars: int) -> np.ndarray:
+    """The (rows, n_vars) int8 sign matrix of bitsets laid out as by ``_pack``."""
+    planes = np.unpackbits(bits.astype(">u8").view(np.uint8), axis=-1)[..., :n_vars].astype(np.int8)
+    return planes[:, 0] - planes[:, 1]
+
+
+def _words(n_vars: int) -> int:
+    return -(-n_vars // 64)
+
+
 class PatternMatrix:
     """Largest-common-signed-pattern size for every pair of working rows.
 
-    For rows u, v over {-1, 0, +1} coefficients, with d direct and n negated
-    matching terms: sum(|u||v|) = d + n and sum(u*v) = d - n, so the entry
-    max(d, n) equals (sum|u||v| + |sum u*v|) / 2. Entries are maintained
-    incrementally by recomputing only rows that changed; values stay below
-    2**24 so float32 matmuls are exact.
+    Each working row is held as two packed bitsets (see ``_pack``): P, the
+    variables it adds, and N, those it subtracts. Rows u and v share a
+    direct pattern of d = |P_u & P_v| + |N_u & N_v| terms and a negated one
+    of n = |P_u & N_v| + |N_u & P_v| terms; the entry is max(d, n), counted
+    exactly by popcounts over the words in use. An extraction appends one
+    variable and one row, and recomputes only the entries of the rows it
+    changed. ``best`` holds the largest entry of each row, recomputed only
+    for rows whose largest entry fell.
     """
 
     def __init__(self, rows: list[dict[int, int]], n_vars: int) -> None:
-        self.n_rows = 0
-        self.n_vars = n_vars
-        self._cap_r = max(16, 2 * len(rows))
-        self._cap_v = max(16, n_vars + len(rows) + 16)
-        self._rf = np.zeros((self._cap_r, self._cap_v), dtype=np.float32)
-        self._rabs = np.zeros((self._cap_r, self._cap_v), dtype=np.float32)
-        self._p = np.zeros((self._cap_r, self._cap_r), dtype=np.int32)
-        for row in rows:
-            self.add_row(row)
-        self.update_rows(list(range(self.n_rows)))
+        signs = np.zeros((len(rows), n_vars), dtype=np.int8)
+        for r, row in enumerate(rows):
+            signs[r, list(row)] = list(row.values())
+        self.n_rows, self.n_vars = len(rows), n_vars
+        # room for one appended row per 8 terms, about what measured runs
+        # needed; grown by half when full. Each appended row brings at most
+        # one variable, so the words cover every row the capacity allows.
+        cap = self.n_rows + _total_terms(rows) // 8 + 1
+        self.bits = np.zeros((cap, 2, _words(n_vars + cap - self.n_rows)), dtype=np.uint64)
+        self.bits[: self.n_rows] = _pack(signs, self.bits.shape[2])
+        # no working row ever grows, so no entry exceeds the widest row
+        self._p = np.zeros((cap, cap), dtype=np.min_scalar_type(n_vars))
+        self._best = np.zeros(cap, dtype=self._p.dtype)
+        self._update(np.arange(self.n_rows))
 
-    def _grow(self, need_rows: int, need_vars: int) -> None:
-        if need_rows > self._cap_r:
-            cap = max(need_rows, 2 * self._cap_r)
-            rf = np.zeros((cap, self._cap_v), dtype=np.float32)
-            rf[: self.n_rows] = self._rf[: self.n_rows]
-            ra = np.zeros((cap, self._cap_v), dtype=np.float32)
-            ra[: self.n_rows] = self._rabs[: self.n_rows]
-            p = np.zeros((cap, cap), dtype=np.int32)
-            p[: self.n_rows, : self.n_rows] = self._p[: self.n_rows, : self.n_rows]
-            self._rf, self._rabs, self._p, self._cap_r = rf, ra, p, cap
-        if need_vars > self._cap_v:
-            cap = max(need_vars, 2 * self._cap_v)
-            rf = np.zeros((self._cap_r, cap), dtype=np.float32)
-            rf[:, : self._cap_v] = self._rf
-            ra = np.zeros((self._cap_r, cap), dtype=np.float32)
-            ra[:, : self._cap_v] = self._rabs
-            self._rf, self._rabs, self._cap_v = rf, ra, cap
-
-    def ensure_var(self, var: int) -> None:
-        self._grow(self.n_rows, var + 1)
-        self.n_vars = max(self.n_vars, var + 1)
-
-    def add_row(self, row: dict[int, int]) -> int:
-        self._grow(self.n_rows + 1, self.n_vars)
-        idx = self.n_rows
-        self.n_rows += 1
-        for v, s in row.items():
-            self.set_var(idx, v, s)
-        return idx
-
-    def set_var(self, idx: int, var: int, sign: int) -> None:
-        self.ensure_var(var)
-        self._rf[idx, var] = sign
-        self._rabs[idx, var] = 1.0
-
-    def clear_var(self, idx: int, var: int) -> None:
-        self._rf[idx, var] = 0.0
-        self._rabs[idx, var] = 0.0
-
-    def update_rows(self, idxs: list[int]) -> None:
-        """Recompute entries between the given rows and every current row."""
-        if not idxs:
-            return
-        n, v = self.n_rows, self.n_vars
-        sel = np.asarray(idxs, dtype=np.intp)
-        sub = self._rf[sel, :v]
-        g = sub @ self._rf[:n, :v].T
-        h = self._rabs[sel, :v] @ self._rabs[:n, :v].T
-        blk = ((h + np.abs(g)) * 0.5).astype(np.int32)
-        self._p[sel[:, None], np.arange(n)[None, :]] = blk
-        self._p[np.arange(n)[:, None], sel[None, :]] = blk.T
+    def _update(self, sel: np.ndarray) -> None:
+        """Recompute the entries between the given rows and every current row."""
+        n, w = self.n_rows, _words(self.n_vars)
+        rows = self.bits[:n, :, :w]
+        swapped = rows[:, ::-1]
+        step = max(1, (1 << 20) // max(1, n * 2 * w))
+        old = self._p[sel, :n]
+        for lo in range(0, len(sel), step):
+            part = sel[lo : lo + step]
+            a = self.bits[part, None, :, :w]
+            direct = np.bitwise_count(a & rows).sum(axis=(2, 3))
+            negated = np.bitwise_count(a & swapped).sum(axis=(2, 3))
+            blk = np.maximum(direct, negated).astype(self._p.dtype)
+            self._p[part, :n] = blk
+            self._p[:n, part] = blk.T
         self._p[sel, sel] = 0
+        # per row x, the largest entry (c, x) over the rows c in sel, before and after
+        old_max = old.max(axis=0, initial=0)
+        new_max = self._p[sel, :n].max(axis=0, initial=0)
+        best = self._best[:n]
+        stale = (old_max == best) & (new_max < old_max)
+        stale[sel] = True
+        np.maximum(best, new_max, out=best)
+        stale = np.flatnonzero(stale)
+        best[stale] = self._p[stale, :n].max(axis=1, initial=0)
 
     def max_entry(self) -> int:
+        return int(self._best[: self.n_rows].max(initial=0))
+
+    def _tied(self, value: int) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_rows
-        if n < 2:
-            return 0
-        return int(self._p[:n, :n].max())
+        rows = np.flatnonzero(self._best[:n] == value)
+        i, s = np.nonzero(self._p[rows, :n] == value)
+        r = rows[i]
+        upper = r < s
+        return r[upper], s[upper]
 
     def argmax_pairs(self, value: int) -> list[tuple[int, int]]:
-        n = self.n_rows
-        rs = np.argwhere(self._p[:n, :n] == value)
-        return [(int(r), int(s)) for r, s in rs if r < s]
+        r, s = self._tied(value)
+        return list(zip(r.tolist(), s.tolist()))
+
+    def best_pattern(self, size: int) -> np.ndarray:
+        """The (2, words) bitsets of the pattern to extract among entries ``size``.
+
+        Each tied pair (r, s), r < s, offers its larger orientation (the
+        direct one on equal size), signed as in row r, then negated if its
+        smallest variable is subtracted. All patterns have ``size`` terms,
+        so the smallest sorted variable tuple is the largest P|N mask read
+        word by word; then the smallest sign tuple, + before -, is the
+        smallest N mask; and a stable sort keeps (r, s) in row order.
+        """
+        w = _words(self.n_vars)
+        r, s = self._tied(size)
+        a, b = self.bits[r, :, :w], self.bits[s, :, :w]
+        direct, negated = a & b, a & b[:, ::-1]
+        d = np.bitwise_count(direct).sum(axis=(1, 2))
+        n = np.bitwise_count(negated).sum(axis=(1, 2))
+        if (np.maximum(d, n) != size).any():
+            raise RuntimeError("pattern matrix disagrees with row contents")
+        pats = np.where((d >= n)[:, None, None], direct, negated)
+        used = pats[:, 0] | pats[:, 1]
+        # P and N are disjoint, so the one holding the first variable is the
+        # larger in the first word in use
+        lead = (used != 0).argmax(axis=1)
+        k = np.arange(len(r))
+        flip = pats[k, 1, lead] > pats[k, 0, lead]
+        pats[flip] = pats[flip, ::-1]
+        order = np.lexsort(np.concatenate([pats[:, 1, ::-1], ~used[:, ::-1]], axis=1).T)
+        return pats[order[0]]
+
+    def extract(self, pat: np.ndarray) -> int:
+        """Replace ``pat`` by a new variable in every row holding it.
+
+        Rows holding the negated pattern get the variable subtracted. The
+        pattern is then appended as a row; returns the number of rows
+        rewritten.
+        """
+        n, w = self.n_rows, _words(self.n_vars)
+        used = pat[0] | pat[1]
+        cols = np.flatnonzero(used)
+        sub, p = self.bits[:n, :, cols], pat[:, cols]
+        direct = ((sub & p) == p).all(axis=(1, 2))
+        negated = ((sub & p[::-1]) == p[::-1]).all(axis=(1, 2))
+        hits = np.flatnonzero(direct | negated)
+        if len(hits) < 2:
+            raise RuntimeError("pattern matched fewer than two rows; invariant violated")
+        if n == len(self._p):
+            cap = n + n // 2 + 1
+            words = _words(self.n_vars + cap - n) - self.bits.shape[2]
+            self.bits = np.pad(self.bits, ((0, cap - n), (0, 0), (0, words)))
+            self._p = np.pad(self._p, (0, cap - n))
+            self._best = np.pad(self._best, (0, cap - n))
+        word, bit = divmod(self.n_vars, 64)
+        self.bits[hits, :, :w] &= ~used
+        self.bits[hits, negated[hits].astype(np.intp), word] |= np.uint64(1 << (63 - bit))
+        self.bits[n, :, :w] = pat
+        self.n_rows += 1
+        self.n_vars += 1
+        self._update(np.append(hits, n))
+        return len(hits)
+
+    def rows(self) -> list[dict[int, int]]:
+        """The working rows as {variable: sign} dicts."""
+        return _rows_of(_unpack(self.bits[: self.n_rows], self.n_vars))
 
     def values(self) -> np.ndarray:
         return self._p[: self.n_rows, : self.n_rows].copy()
@@ -337,35 +407,7 @@ class PatternMatrix:
         return p
 
 
-def _common_pattern(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Largest common signed pattern of two rows, signed as in ``a``.
-
-    Picks the larger of the direct and globally-negated orientation, the
-    direct one on ties, then normalizes the leading sign to +.
-    """
-    direct = {v: sv for v, sv in a.items() if b.get(v) == sv}
-    neg = {v: sv for v, sv in a.items() if b.get(v) == -sv}
-    pat = direct if len(direct) >= len(neg) else neg
-    if pat and pat[min(pat)] == -1:
-        pat = {v: -sv for v, sv in pat.items()}
-    return pat
-
-
-def _pattern_key(pat: dict[int, int]) -> tuple:
-    items = sorted(pat.items())
-    return tuple(v for v, _ in items), tuple(0 if s == 1 else 1 for _, s in items)
-
-
-def _match_orientation(row: dict[int, int], pat: dict[int, int]) -> int:
-    """0 if the row does not contain the pattern, else +1 or -1."""
-    if all(row.get(v) == sv for v, sv in pat.items()):
-        return 1
-    if all(row.get(v) == -sv for v, sv in pat.items()):
-        return -1
-    return 0
-
-
-def _topo_definitions(bodies: list[tuple[int, dict[int, int]]], n_inputs: int) -> list[Expression]:
+def _topo_definitions(bodies: list[tuple[int, dict[int, int]]]) -> list[Expression]:
     """Order definitions so each references only inputs or earlier variables."""
     body_of = dict(bodies)
     pending: dict[int, set[int]] = {
@@ -401,66 +443,39 @@ def bu_cse(
 
     Each step takes the largest entry (at least two matching terms), rewrites
     every working row containing that pattern in either orientation, and
-    appends the pattern itself as a new working row. Size ties are broken by
-    the lexicographically smallest sorted variable tuple, then the same-sign
-    orientation, then the first row pair in row order. Stops when the largest
+    appends the pattern itself as a new working row. A tied row pair's
+    pattern is its larger orientation (the direct one on equal size),
+    signed so that its smallest variable is added. Ties go to the smallest
+    sorted variable tuple, then the smallest sign tuple with + before -,
+    then the first row pair (r, s) in row order. Stops when the largest
     entry is at most one.
+    ``check_matrix`` compares the pattern matrix with a from-scratch one
+    after every extraction and fails loudly on any divergence (slow, for
+    testing).
     """
-    rows = _rows_of(m.entries)
-    n_outputs = len(rows)
-    pm = PatternMatrix(rows, m.cols)
-    def_rows: list[tuple[int, int]] = []  # (variable, working-row index)
-    next_var = m.cols
-    while True:
-        if max_extractions is not None and len(def_rows) >= max_extractions:
+    pm = PatternMatrix(_rows_of(m.entries), m.cols)
+    n_defs = 0
+    while max_extractions is None or n_defs < max_extractions:
+        size = pm.max_entry()
+        if size <= 1:
             break
-        mx = pm.max_entry()
-        if mx <= 1:
-            break
-        best_key = None
-        best_pat: dict[int, int] | None = None
-        for r, s in pm.argmax_pairs(mx):
-            pat = _common_pattern(rows[r], rows[s])
-            if len(pat) != mx:
-                raise RuntimeError("pattern matrix disagrees with row contents")
-            key = (*_pattern_key(pat), r, s)
-            if best_key is None or key < best_key:
-                best_key, best_pat = key, pat
-        assert best_pat is not None
-        new = next_var
-        next_var += 1
-        pat_vars = sorted(best_pat)
-        cand = np.flatnonzero(
-            pm._rabs[: pm.n_rows, pat_vars].sum(axis=1) >= len(pat_vars)
-        )
-        changed: list[int] = []
-        for w in cand:
-            w = int(w)
-            orient = _match_orientation(rows[w], best_pat)
-            if orient == 0:
-                continue
-            for v in pat_vars:
-                del rows[w][v]
-                pm.clear_var(w, v)
-            rows[w][new] = orient
-            pm.set_var(w, new, orient)
-            changed.append(w)
-        if len(changed) < 2:
-            raise RuntimeError("pattern matched fewer than two rows; invariant violated")
-        body = dict(best_pat)
-        rows.append(body)
-        new_idx = pm.add_row(body)
-        def_rows.append((new, new_idx))
+        pat = pm.best_pattern(size)
+        var = pm.n_vars
+        hits = pm.extract(pat)
+        n_defs += 1
         if trace is not None:
-            trace.append(ExtractionEvent(new, from_dict(best_pat), len(changed)))
-        pm.update_rows(changed + [new_idx])
-        if check_matrix and not np.array_equal(pm.values(), PatternMatrix.sizes_from_scratch(rows)):
-            raise RuntimeError("incremental pattern matrix diverged from the from-scratch one")
+            body = _rows_of(_unpack(pat[None], var))[0]
+            trace.append(ExtractionEvent(var, from_dict(body), hits))
+        if check_matrix:
+            want = PatternMatrix.sizes_from_scratch(pm.rows())
+            if not (np.array_equal(pm.values(), want) and np.array_equal(pm._best[: pm.n_rows], want.max(axis=1))):
+                raise RuntimeError("incremental pattern matrix diverged from the from-scratch one")
 
-    definitions = _topo_definitions([(var, rows[idx]) for var, idx in def_rows], m.cols)
-    outputs = tuple(from_dict(rows[r]) for r in range(n_outputs))
+    rows = pm.rows()
+    definitions = _topo_definitions([(m.cols + k, rows[m.rows + k]) for k in range(n_defs)])
+    outputs = tuple(from_dict(rows[r]) for r in range(m.rows))
     total = _total_terms([d.terms for d in definitions]) + _total_terms([o.terms for o in outputs])
-    return CseResult(m.cols, tuple(definitions), outputs, CseStats(len(def_rows), total))
+    return CseResult(m.cols, tuple(definitions), outputs, CseStats(n_defs, total))
 
 
 # ---------------------------------------------------------------------------
@@ -569,13 +584,21 @@ class CseFormatError(ValueError):
     """A .cse file violates the line format."""
 
 
+def _is_index(tok: str) -> bool:
+    """True for a non-empty run of ASCII digits (``str.isdigit`` admits others)."""
+    return tok.isascii() and tok.isdigit()
+
+
 def _parse_terms(tokens: list[str], lineno: int) -> tuple[tuple[int, int], ...]:
-    terms = []
+    terms: dict[int, int] = {}
     for tok in tokens:
-        if len(tok) < 3 or tok[0] not in "+-" or tok[1] != "x" or not tok[2:].isdigit():
+        if len(tok) < 3 or tok[0] not in "+-" or tok[1] != "x" or not _is_index(tok[2:]):
             raise CseFormatError(f"line {lineno}: bad term {tok!r}")
-        terms.append((int(tok[2:]), 1 if tok[0] == "+" else -1))
-    return tuple(terms)
+        var = int(tok[2:])
+        if var in terms:
+            raise CseFormatError(f"line {lineno}: variable x{var} repeated")
+        terms[var] = 1 if tok[0] == "+" else -1
+    return tuple(terms.items())
 
 
 def parse_cse(text: str, n_inputs: int | None = None) -> CseResult:
@@ -599,7 +622,7 @@ def parse_cse(text: str, n_inputs: int | None = None) -> CseResult:
             if len(parts) < 3 or parts[2] != "=":
                 raise CseFormatError(f"line {lineno}: expected 'def x<k> = ...'")
             head = parts[1]
-            if not head.startswith("x") or not head[1:].isdigit():
+            if not head.startswith("x") or not _is_index(head[1:]):
                 raise CseFormatError(f"line {lineno}: bad definition name {head!r}")
             terms = _parse_terms(parts[3:], lineno)
             if not terms:
@@ -609,7 +632,7 @@ def parse_cse(text: str, n_inputs: int | None = None) -> CseResult:
             seen_out = True
             if len(parts) < 3 or parts[2] != "=":
                 raise CseFormatError(f"line {lineno}: expected 'out <row> = ...'")
-            if not parts[1].isdigit():
+            if not _is_index(parts[1]):
                 raise CseFormatError(f"line {lineno}: bad row index {parts[1]!r}")
             outs.append((int(parts[1]), _parse_terms(parts[3:], lineno)))
         else:

@@ -111,7 +111,7 @@ def parse(text: str) -> AdderGraph:
             raise _fail(lineno, f"digit width {w} does not match schedule width {width}")
         operands = []
         for col, tok in enumerate(parts[5:], start=6):
-            if not tok or tok[0] not in "+-" or not tok[1:].isdigit():
+            if not tok or tok[0] not in "+-" or not (tok[1:].isascii() and tok[1:].isdigit()):
                 raise _fail(lineno, f"field {col}: bad signed operand {tok!r}")
             ref = int(tok[1:])
             if ref >= nid:

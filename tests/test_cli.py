@@ -146,6 +146,11 @@ def test_report_throughput_line(capsys):
     assert "4 values every cycle" in out
 
 
+def test_report_throughput_below_one_frame_per_second(capsys):
+    assert main(["report-throughput", VGG7_CONFIG, "--clock", "100"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0.09765625 frames/sec"
+
+
 def test_report_ops_dense_column(capsys):
     assert main(["report-ops", VGG7_CONFIG]) == 0
     out = capsys.readouterr().out

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternroll import (
     TernaryMatrix,
@@ -188,6 +190,16 @@ def test_bu_incremental_matrix_matches_scratch(rng):
     for _ in range(5):
         m = random_ternary(8, 10, 0.5, rng)
         bu_cse(m, check_matrix=True)
+
+
+def test_bu_grows_past_its_initial_capacity():
+    # room for terms // 8 + 1 appended rows, whose variables fit one 64-bit
+    # word, at first; this needs more rows, and variables past that word
+    m = random_ternary(32, 12, 0.0, np.random.default_rng(7))
+    room = np.count_nonzero(m.entries) // 8 + 1
+    r = bu_cse(m, check_matrix=True)
+    assert m.cols + room <= 64 < m.cols + r.stats.extractions
+    assert np.array_equal(expand_rows(r), m.entries.astype(np.int32))
 
 
 def test_bu_deterministic(rng):
@@ -388,9 +400,64 @@ def test_parse_cse_errors(text):
         parse_cse(text, n_inputs=2)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("out 0 = +x0 -x0\n", "line 1: variable x0 repeated"),
+        ("def x2 = +x0 +x1 +x0\nout 0 = +x2\n", "line 1: variable x0 repeated"),
+        ("out 0 = +x\u00b2\n", "line 1: bad term"),  # superscript two: isdigit() but not int()
+        ("out 0 = +x1\nout 1 = -x\u0663\n", "line 2: bad term"),  # Arabic-Indic three: int() reads 3
+        ("def x\u0662 = +x0 +x1\nout 0 = +x2\n", "line 1: bad definition name"),
+        ("out \u0660 = +x0\n", "line 1: bad row index"),
+    ],
+    ids=["repeat-out", "repeat-def", "superscript-term", "arabic-term", "arabic-def", "arabic-row"],
+)
+def test_parse_cse_errors_name_the_line(text, message):
+    with pytest.raises(CseFormatError, match=message):
+        parse_cse(text, n_inputs=2)
+
+
 def test_parse_cse_forward_reference_rejected():
     with pytest.raises(CseFormatError):
         parse_cse("def x3 = +x0 +x4\ndef x4 = +x0 +x1\nout 0 = +x3\n", n_inputs=3)
+
+
+# Lines built mostly from fragments that pass the parser's first checks, so
+# that the later ones run too; or any text.
+CSE_TERM = st.sampled_from(
+    ["+x0", "-x0", "+x1", "-x1", "+x2", "-x3", "+x9", "+x\u0663", "-x\u00b2", "x1", "+", "-x"]
+) | st.text(max_size=3)
+CSE_LINE = st.tuples(
+    st.sampled_from(["out 0", "out 1", "out 2", "def x2", "def x3", "def x\u0662", "out \u0661", "out", "def"]),
+    st.sampled_from(["=", "=", "=", "", "=="]),
+    st.lists(CSE_TERM, max_size=4),
+).map(lambda t: " ".join([t[0], t[1], *t[2]]))
+CSE_TEXT = st.lists(CSE_LINE, max_size=6).map("\n".join) | st.text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=CSE_TEXT, n_inputs=st.none() | st.integers(1, 4))
+def test_parse_cse_parses_or_raises_its_format_error(text, n_inputs):
+    try:
+        parse_cse(text, n_inputs=n_inputs)
+    except CseFormatError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 10),
+    zeros=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+    fn=st.sampled_from([td_cse, bu_cse, no_cse]),
+)
+def test_format_then_parse_cse_is_identity(rows, cols, zeros, seed, fn):
+    r = fn(random_ternary(rows, cols, zeros, np.random.default_rng(seed)))
+    text = format_cse(r)
+    assert parse_cse(text, n_inputs=cols) == r
+    if r.definitions:
+        assert parse_cse(text) == r
 
 
 def test_expression_stats(m7x6):

@@ -75,6 +75,17 @@ def test_parse_forward_reference():
         parse(text)
 
 
+@pytest.mark.parametrize("operand", ["+\u0663", "-\u00b2"], ids=["arabic-indic-3", "superscript-2"])
+def test_parse_rejects_non_ascii_operand_digits(operand):
+    text = (
+        "ngl inputs 1 outputs 0 nodes 2 digits 1 total 16 aligned 1\n"
+        "node 0 in 0 16\n"
+        f"node 1 add 1 16 +0 {operand}\n"
+    )
+    with pytest.raises(NetlistParseError, match="line 3: field 7: bad signed operand"):
+        parse(text)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
