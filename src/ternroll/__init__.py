@@ -8,7 +8,6 @@ from .cse import (
     PairTable,
     PatternMatrix,
     bu_cse,
-    evaluate_cse,
     expand_rows,
     find_counterexample,
     no_cse,
@@ -34,9 +33,7 @@ from .pipeline import (
     SimulationResult,
     ThroughputReport,
     WindowBuffer,
-    dense,
     max_pool,
-    mux_layer,
     op_count,
     scale_shift,
     simulate,
@@ -85,19 +82,16 @@ __all__ = [
     "bu_cse",
     "build_tree",
     "cost",
-    "dense",
     "dequantize",
     "emit_netlist",
     "evaluate",
     "evaluate_batch",
-    "evaluate_cse",
     "evaluate_serial",
     "expand_rows",
     "expression",
     "find_counterexample",
     "load_network",
     "max_pool",
-    "mux_layer",
     "no_cse",
     "op_count",
     "parse_netlist",

@@ -13,8 +13,10 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import netlist
-from .cse import CseFormatError, CseResult, bu_cse, format_cse, no_cse, parse_cse, td_cse, verify_equivalence
+from .cse import CseFormatError, CseResult, bu_cse, find_counterexample, format_cse, no_cse, parse_cse, td_cse
 from .fixedpoint import SaturationCounter
 from .matrices import (
     MatrixFormatError,
@@ -32,6 +34,7 @@ from .treegen import (
     area_slice_estimate,
     build_tree,
     cost,
+    evaluate_batch,
     schedule_serial,
 )
 
@@ -88,6 +91,21 @@ def _build_graph(result: CseResult, arity: int, interval: int, align: bool, name
     return schedule_serial(g, interval)
 
 
+# Values evaluate_batch holds at once (one row per graph node): the basis goes
+# through in blocks of columns so wide layers stay within a few tens of MiB.
+_EVAL_BUDGET = 1 << 22
+
+
+def _prove_graph(m: TernaryMatrix, g) -> None:
+    """The graph's outputs on every standard basis vector are ``m``'s columns."""
+    step = max(1, _EVAL_BUDGET // len(g.nodes))
+    for lo in range(0, m.cols, step):
+        hi = min(lo + step, m.cols)
+        basis = np.eye(m.cols, hi - lo, -lo, dtype=np.int64)  # e_lo .. e_(hi-1)
+        if not np.array_equal(evaluate_batch(g, basis), m.entries[:, lo:hi]):
+            raise GraphValidationError(f"adder graph differs from its matrix in columns {lo}-{hi - 1}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -111,10 +129,10 @@ def _cmd_sweep_eps(args) -> int:
 def _cmd_cse(args) -> int:
     m = load_tmx(args.infile)
     result = _run_cse(args.method, m)
-    if args.verify:
-        if not verify_equivalence(m, result, trials=args.verify, seed=args.seed):
-            raise GraphValidationError("cse result is not equivalent to its matrix")
-        print(f"verify=ok trials={args.verify}")
+    e = find_counterexample(m, result)  # a proof on the standard basis
+    if e is not None:
+        raise GraphValidationError(f"cse result differs from its matrix in column {int(e.argmax())}")
+    print("verify=ok")
     _atomic_write(args.outfile, format_cse(result))
     print(
         f"extractions={result.stats.extractions} terms={result.stats.total_terms} "
@@ -136,6 +154,7 @@ def _cmd_emit(args) -> int:
     m = load_tmx(args.infile)
     result = _run_cse(args.method, m)
     g = _build_graph(result, args.arity, args.interval, not args.no_align, args.name)
+    _prove_graph(m, g)
     _atomic_write(args.outfile, netlist.emit(g))
     _print_cost(g)
     return 0
@@ -292,9 +311,6 @@ def make_parser() -> _Parser:
 
     q = sub.add_parser("cse", help="extract shared subexpressions from a tmx matrix")
     q.add_argument("--method", choices=("td", "bu"), required=True)
-    q.add_argument("--verify", type=int, default=0, metavar="TRIALS",
-                   help="self-check the result on random inputs")
-    q.add_argument("--seed", type=int, default=0)
     q.add_argument("infile")
     q.add_argument("outfile")
     q.set_defaults(fn=_cmd_cse)

@@ -9,8 +9,9 @@ repeatedly extracts the biggest one; the extracted pattern is appended to the
 working set as a fresh row so its own sub-patterns stay discoverable.
 
 Both passes are deterministic: frequency or size decides first, then the
-documented tie-breaks. Both preserve exact symbolic equivalence, which
-``verify_equivalence`` checks numerically and ``expand_rows`` symbolically.
+documented tie-breaks. Both preserve exact symbolic equivalence:
+``expand_rows`` gives a result's coefficient matrix and
+``find_counterexample`` compares it with the input matrix.
 """
 
 from __future__ import annotations
@@ -506,64 +507,29 @@ def expand_rows(result: CseResult) -> np.ndarray:
     return out
 
 
-def evaluate_cse(result: CseResult, x) -> list[int]:
-    """Evaluate definitions then outputs on one integer input vector."""
-    vals: dict[int, int] = {i: int(x[i]) for i in range(result.n_inputs)}
-    for d in result.definitions:
-        assert d.id is not None
-        vals[d.id] = sum(s * vals[v] for v, s in d.terms)
-    return [sum(s * vals[v] for v, s in e.terms) for e in result.outputs]
+def find_counterexample(m: TernaryMatrix, result: CseResult) -> np.ndarray | None:
+    """The basis vector e_j of the first column on which the result differs
+    from ``m``, or None when it computes exactly ``m @ x``.
 
-
-def evaluate_cse_batch(result: CseResult, xs: np.ndarray) -> np.ndarray:
-    """Evaluate on a (n_inputs, batch) integer matrix, exactly, in int64."""
-    xs = np.asarray(xs, dtype=np.int64)
-    vals: dict[int, np.ndarray] = {i: xs[i] for i in range(result.n_inputs)}
-    zero = np.zeros(xs.shape[1], dtype=np.int64)
-    for d in result.definitions:
-        acc = zero.copy()
-        for v, s in d.terms:
-            acc += s * vals[v]
-        assert d.id is not None
-        vals[d.id] = acc
-    out = np.zeros((len(result.outputs), xs.shape[1]), dtype=np.int64)
-    for r, e in enumerate(result.outputs):
-        for v, s in e.terms:
-            out[r] += s * vals[v]
-    return out
-
-
-def _exhaustive_inputs(cols: int) -> np.ndarray:
-    n = 3**cols
-    idx = np.arange(n, dtype=np.int64)[:, None] // (3 ** np.arange(cols, dtype=np.int64))[None, :]
-    return (idx % 3 - 1).T.astype(np.int64)  # shape (cols, 3**cols)
-
-
-def find_counterexample(
-    m: TernaryMatrix, result: CseResult, trials: int = 200, seed: int = 0
-) -> np.ndarray | None:
-    """First input vector on which the result disagrees with m @ x, or None.
-
-    Checks exhaustively over {-1,0,1}^cols when cols <= 12, then on random
-    16-bit integer vectors.
+    The result is a linear integer map, so comparing its coefficient matrix
+    with ``m`` is the same as checking every input on the standard basis: a
+    complete proof, not a sample.
     """
-    batches = []
-    if m.cols <= 12:
-        batches.append(_exhaustive_inputs(m.cols))
-    if trials > 0:
-        rng = np.random.default_rng(seed)
-        batches.append(rng.integers(-(2**15), 2**15, size=(m.cols, trials), dtype=np.int64))
-    for xs in batches:
-        got = evaluate_cse_batch(result, xs)
-        want = m.entries.astype(np.int64) @ xs
-        bad = np.argwhere((got != want).any(axis=0))
-        if bad.size:
-            return xs[:, int(bad[0][0])].copy()
-    return None
+    if (len(result.outputs), result.n_inputs) != (m.rows, m.cols):
+        raise ValueError(
+            f"result is {len(result.outputs)}x{result.n_inputs} (outputs x inputs), "
+            f"matrix is {m.rows}x{m.cols}"
+        )
+    bad = np.flatnonzero((expand_rows(result) != m.entries).any(axis=0))
+    if not bad.size:
+        return None
+    e = np.zeros(m.cols, dtype=np.int64)
+    e[bad[0]] = 1
+    return e
 
 
-def verify_equivalence(m: TernaryMatrix, result: CseResult, trials: int = 200, seed: int = 0) -> bool:
-    return find_counterexample(m, result, trials, seed) is None
+def verify_equivalence(m: TernaryMatrix, result: CseResult) -> bool:
+    return find_counterexample(m, result) is None
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class FixedPointFormat:
@@ -98,33 +100,9 @@ def dequantize(v: FixedValue) -> float:
     return v.to_float()
 
 
-def shift_right_round(p: int, bits: int) -> int:
-    """Divide by 2**bits, rounding to nearest with ties away from zero."""
+def shift_right_round(p, bits: int):
+    """Divide an integer or an int64 array by 2**bits, rounding to nearest
+    with ties away from zero."""
     if bits == 0:
         return p
-    half = 1 << (bits - 1)
-    if p >= 0:
-        return (p + half) >> bits
-    return -((-p + half) >> bits)
-
-
-def scale_shift_scalar(
-    x_raw: int,
-    c_raw: int,
-    b_raw: int,
-    scale_fmt: FixedPointFormat,
-    act_fmt: FixedPointFormat,
-    relu: bool,
-    counter: SaturationCounter | None = None,
-) -> int:
-    """One channel of the fused scale-and-shift datapath.
-
-    The activation/constant product carries act.frac + scale.frac fractional
-    bits; shifting right by scale.frac realigns to the activation format
-    before the pre-aligned shift constant is added and the sum saturated.
-    """
-    t = shift_right_round(x_raw * c_raw, scale_fmt.frac_bits) + b_raw
-    y = saturate(t, act_fmt, counter)
-    if relu and y < 0:
-        return 0
-    return y
+    return np.sign(p) * ((np.abs(p) + (1 << (bits - 1))) >> bits)

@@ -8,6 +8,7 @@ Grammar, one record per line:
     nodeline  = "node" INT KIND INT INT { SIGNEDREF }
     KIND      = "in" | "add" | "delay" | "out"
     SIGNEDREF = ("+" | "-") INT
+    INT       = ASCII digits only
 
 The node fields are id, kind, stage and digit width, followed by the signed
 operand list. Emission is byte-deterministic: nodes appear in id order, which
@@ -16,7 +17,7 @@ is topological by construction.
 
 from __future__ import annotations
 
-from .treegen import IN, KINDS, OUT, AdderGraph, Node, validate_graph
+from .treegen import IN, KINDS, OUT, AdderGraph, GraphValidationError, Node, validate_graph
 
 
 class NetlistParseError(ValueError):
@@ -45,11 +46,14 @@ def _fail(lineno: int, msg: str) -> NetlistParseError:
     return NetlistParseError(f"line {lineno}: {msg}")
 
 
+def _ascii_digits(tok: str) -> bool:
+    return tok.isascii() and tok.isdigit()
+
+
 def _int(tok: str, lineno: int, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise _fail(lineno, f"expected integer {what}, got {tok!r}") from None
+    if not _ascii_digits(tok):
+        raise _fail(lineno, f"expected integer {what}, got {tok!r}")
+    return int(tok)
 
 
 def parse(text: str) -> AdderGraph:
@@ -104,14 +108,12 @@ def parse(text: str) -> AdderGraph:
         if kind not in KINDS:
             raise _fail(lineno, f"unknown node kind {kind!r}")
         stage = _int(parts[3], lineno, "stage")
-        if stage < 0:
-            raise _fail(lineno, f"negative stage {stage}")
         w = _int(parts[4], lineno, "digit width")
         if w != width:
             raise _fail(lineno, f"digit width {w} does not match schedule width {width}")
         operands = []
         for col, tok in enumerate(parts[5:], start=6):
-            if not tok or tok[0] not in "+-" or not (tok[1:].isascii() and tok[1:].isdigit()):
+            if tok[0] not in "+-" or not _ascii_digits(tok[1:]):
                 raise _fail(lineno, f"field {col}: bad signed operand {tok!r}")
             ref = int(tok[1:])
             if ref >= nid:
@@ -131,7 +133,10 @@ def parse(text: str) -> AdderGraph:
         digits=digits, total_bits=total, outputs_aligned=aligned,
         name=fields.get("name", ""),
     )
-    validate_graph(g)
+    try:
+        validate_graph(g)
+    except GraphValidationError as e:
+        raise NetlistParseError(str(e)) from e
     return g
 
 

@@ -127,7 +127,11 @@ class NetworkSpec:
         if self.layers[0].pixel_interval not in (0, 1):
             raise NetworkFormatError("first layer must have pixel_interval 1")
         image_side = True
+        flat = False  # after a Mux or Dense the stream is one vector a frame
         for idx, layer in enumerate(self.layers):
+            if flat and layer.kind in ("Conv", "MaxPool"):
+                raise NetworkFormatError(f"layer {idx}: {layer.kind} after the stream is flattened")
+            flat = flat or layer.kind in ("Mux", "Dense")
             if (layer.in_width, layer.in_channels) != (width, chans):
                 raise NetworkFormatError(
                     f"layer {idx} ({layer.kind}) expects {layer.in_width}x{layer.in_width}x"

@@ -190,73 +190,13 @@ def scale_shift(
     c_raw, b_raw = quantize_params(params, scale_fmt, act_fmt)
     if x.shape[-1] != len(params.c):
         raise ValueError(f"expected {len(params.c)} channels, got {x.shape[-1]}")
-    prod = x * c_raw
-    half = 1 << (scale_fmt.frac_bits - 1)
-    shifted = np.sign(prod) * ((np.abs(prod) + half) >> scale_fmt.frac_bits)
-    t = shifted + b_raw
+    t = shift_right_round(x * c_raw, scale_fmt.frac_bits) + b_raw
     y = np.clip(t, act_fmt.raw_min, act_fmt.raw_max)
     if counter is not None:
         counter.hit(int((t != y).sum()))
     if act == "ReLU":
         y = np.maximum(y, 0)
     return y
-
-
-def mux_layer(bursts, m: int) -> list[list[int]]:
-    """Re-emit bursts of D values every M cycles as D/M values per cycle.
-
-    Order is preserved exactly: concatenating the output chunks reproduces
-    the concatenated input bursts.
-    """
-    if m < 1:
-        raise ValueError(f"mux interval must be >= 1, got {m}")
-    out: list[list[int]] = []
-    for burst in bursts:
-        vals = list(burst)
-        if len(vals) % m:
-            raise ValueError(f"mux interval {m} does not divide burst size {len(vals)}")
-        lane = len(vals) // m
-        for k in range(m):
-            out.append(vals[k * lane : (k + 1) * lane])
-    return out
-
-
-@dataclass(frozen=True)
-class DenseMemoryReport:
-    """Weight-memory model of a dense layer at a given input lane count."""
-
-    storage_bits: int
-    lanes: int
-    bandwidth_bits_per_cycle: int
-    bram_equivalents: int
-
-
-def dense_memory(t: TernaryMatrix, lanes: int, bram_kbits: int = 64) -> DenseMemoryReport:
-    storage = t.rows * t.cols * 2
-    bandwidth = lanes * t.rows * 2
-    brams = -(-storage // (bram_kbits * 1024))
-    return DenseMemoryReport(storage, lanes, bandwidth, brams)
-
-
-def dense(
-    x,
-    t: TernaryMatrix,
-    params: ScaleShiftParams,
-    act: str = "None",
-    scale_fmt: FixedPointFormat = SCALE_FORMAT,
-    act_fmt: FixedPointFormat = ACT_FORMAT,
-    counter: SaturationCounter | None = None,
-) -> np.ndarray:
-    """Multiply-accumulate dense layer: y = scale_shift(t @ x).
-
-    Ternary weights add, skip or subtract each input; accumulators are wide
-    enough to be overflow-free.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape[0] != t.cols:
-        raise ValueError(f"dense expects {t.cols} inputs, got {x.shape[0]}")
-    acc = t.matvec(x)
-    return scale_shift(acc, params, act, scale_fmt, act_fmt, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +208,6 @@ class SimulationResult:
     scores: tuple[int, ...]
     argmax: int
     saturations: int
-
-
-def _conv_image(img: ImageStream, t: TernaryMatrix, layer: LayerSpec) -> np.ndarray:
-    patches = patch_matrix(img, layer.kernel)
-    expect = layer.kernel * layer.kernel * layer.in_channels
-    if t.cols != expect:
-        raise ValueError(f"conv weights have {t.cols} columns, layer needs {expect}")
-    if t.rows != layer.filters:
-        raise ValueError(f"conv weights have {t.rows} rows, layer has {layer.filters} filters")
-    out = patches @ t.entries.astype(np.int64).T
-    return out.reshape(img.height, img.width, layer.filters)
 
 
 def simulate(
@@ -301,72 +230,47 @@ def simulate(
             f"image {img.width}x{img.height}x{img.channels} does not match network input "
             f"{net.input_width}x{net.input_width}x{net.input_channels}"
         )
-    if img.frac_bits != net.act_format.frac_bits:
+    act = net.act_format
+    if img.frac_bits != act.frac_bits:
         raise ValueError(
             f"image has {img.frac_bits} fraction bits, the network's activation format "
-            f"{net.act_format} has {net.act_format.frac_bits}"
+            f"{act} has {act.frac_bits}"
         )
-    cur: object = img  # ImageStream on the image side, 1-D np vector after Mux
+    x = img.data  # (H, W, C) before the flattening Mux, a vector after it
     for idx, layer in enumerate(net.layers):
-        nxt = net.layers[idx + 1] if idx + 1 < len(net.layers) else None
-        if layer.kind in ("Buffer", "Fifo"):
-            continue
-        if layer.kind == "Conv":
-            assert isinstance(cur, ImageStream)
+        kind = layer.kind
+        if kind in ("Conv", "Dense"):
             t = weights.get(idx)
             if not isinstance(t, TernaryMatrix):
-                raise ValueError(f"layer {idx}: Conv needs a TernaryMatrix weight")
-            data = _conv_image(cur, t, layer)
-            if not (isinstance(nxt, LayerSpec) and nxt.kind == "ScaleShift"):
-                lo, hi = net.act_format.raw_min, net.act_format.raw_max
-                clipped = np.clip(data, lo, hi)
-                counter.hit(int((clipped != data).sum()))
-                data = clipped
-            cur = ImageStream(data, net.act_format.frac_bits)
-        elif layer.kind == "ScaleShift":
+                raise ValueError(f"layer {idx}: {kind} needs a TernaryMatrix weight")
+            if kind == "Conv":
+                rows, cols = layer.filters, layer.kernel * layer.kernel * layer.in_channels
+                if (t.rows, t.cols) != (rows, cols):
+                    raise ValueError(
+                        f"layer {idx}: conv weights are {t.rows}x{t.cols}, layer needs {rows}x{cols}"
+                    )
+                patches = patch_matrix(ImageStream(x, act.frac_bits), layer.kernel)
+                x = (patches @ t.entries.astype(np.int64).T).reshape(x.shape[0], x.shape[1], t.rows)
+            else:
+                if x.size != t.cols:
+                    raise ValueError(f"layer {idx}: dense weights have {t.cols} columns, input has {x.size}")
+                x = t.matvec(x.reshape(-1))
+            following = net.layers[idx + 1].kind if idx + 1 < len(net.layers) else None
+            if following != "ScaleShift":
+                clipped = np.clip(x, act.raw_min, act.raw_max)
+                counter.hit(int((clipped != x).sum()))
+                x = clipped
+        elif kind == "ScaleShift":
             p = weights.get(idx)
             if not isinstance(p, ScaleShiftParams):
                 raise ValueError(f"layer {idx}: ScaleShift needs ScaleShiftParams")
-            if isinstance(cur, ImageStream):
-                data = scale_shift(
-                    cur.data, p, layer.activation, net.scale_format, net.act_format, counter
-                )
-                cur = ImageStream(data, net.act_format.frac_bits)
-            else:
-                cur = scale_shift(
-                    cur, p, layer.activation, net.scale_format, net.act_format, counter
-                )
-        elif layer.kind == "MaxPool":
-            assert isinstance(cur, ImageStream)
-            cur = max_pool(cur, layer.kernel, layer.stride)
-        elif layer.kind == "Mux":
-            if isinstance(cur, ImageStream):
-                cur = cur.flatten()
-            # vector side: ordering is already steady, nothing to reorder
-        elif layer.kind == "Dense":
-            t = weights.get(idx)
-            if not isinstance(t, TernaryMatrix):
-                raise ValueError(f"layer {idx}: Dense needs a TernaryMatrix weight")
-            vec = cur.flatten() if isinstance(cur, ImageStream) else np.asarray(cur)
-            if vec.shape[0] != t.cols:
-                raise ValueError(
-                    f"layer {idx}: dense weights have {t.cols} columns, input has {vec.shape[0]}"
-                )
-            data = t.matvec(vec)
-            if not (isinstance(nxt, LayerSpec) and nxt.kind == "ScaleShift"):
-                lo, hi = net.act_format.raw_min, net.act_format.raw_max
-                clipped = np.clip(data, lo, hi)
-                counter.hit(int((clipped != data).sum()))
-                data = clipped
-            cur = data
-        else:  # pragma: no cover
-            raise ValueError(f"layer {idx}: unhandled kind {layer.kind}")
-    if isinstance(cur, ImageStream):
-        scores = [int(v) for v in cur.flatten()]
-    else:
-        scores = [int(v) for v in np.asarray(cur).reshape(-1)]
-    best = min(range(len(scores)), key=lambda k: (-scores[k], k))
-    return SimulationResult(tuple(scores), best, counter.count)
+            x = scale_shift(x, p, layer.activation, net.scale_format, act, counter)
+        elif kind == "MaxPool":
+            x = max_pool(ImageStream(x, act.frac_bits), layer.kernel, layer.stride).data
+        elif kind == "Mux":
+            x = x.reshape(-1)
+    scores = x.reshape(-1)
+    return SimulationResult(tuple(int(v) for v in scores), int(np.argmax(scores)), counter.count)
 
 
 # ---------------------------------------------------------------------------
@@ -406,90 +310,43 @@ def throughput_model(net: NetworkSpec) -> ThroughputReport:
     an analytic estimate, not a measured figure.
     """
     net.validate()
-    width = net.input_width
-    chans = net.input_channels
-    interval = 1  # cycles between pixels
-    image_period = width * width  # cycles per frame at p = 1
+    period = net.input_width**2  # cycles per frame at one pixel a cycle
+    # the last block's output: width, channels, then `values` every `cycles`
+    width, chans, values, cycles = net.input_width, net.input_channels, net.input_channels, 1
+    flat = False  # after the first Mux or Dense the stream is one vector a frame
     blocks: list[BlockRate] = []
     latency = 0
     fifo_hw: dict[int, int] = {}
-    vector_side = False
-    vec_values = 0
-    vec_cycles = 1
     for idx, layer in enumerate(net.layers):
         kind = layer.kind
-        if not vector_side:
-            if kind == "Buffer":
-                pad = layer.kernel // 2
-                latency += (pad * width + pad) * interval
-                out = (width, chans, chans, interval)
-            elif kind == "Conv":
-                chans = layer.filters
-                digits = min(interval, net.act_format.total_bits)
-                depth = _tree_depth_estimate(layer)
-                latency += depth + digits - 1
-                out = (width, chans, chans, interval)
-            elif kind == "ScaleShift":
-                latency += 2
-                out = (width, chans, chans, interval)
-            elif kind == "MaxPool":
-                width //= layer.stride
-                interval *= layer.stride * layer.stride
-                latency += max(1, (layer.kernel * layer.kernel - 1).bit_length())
-                out = (width, chans, chans, interval)
-            elif kind == "Fifo":
-                latency += 1
-                fifo_hw[idx] = width * chans
-                out = (width, chans, chans, interval)
-            elif kind == "Mux":
-                vec_values = width * width * chans
-                if chans % interval == 0:
-                    out = (1, vec_values, chans // interval, 1)
-                elif interval % chans == 0:
-                    out = (1, vec_values, 1, interval // chans)
-                else:
-                    out = (1, vec_values, chans, interval)
-                latency += interval
-                vector_side = True
-                vec_cycles = image_period
-            elif kind == "Dense":
-                vec_values = layer.filters
-                vector_side = True
-                vec_cycles = image_period
-                latency += layer.in_channels + 1
-                out = (1, layer.filters, layer.filters, image_period)
-            else:  # pragma: no cover
-                raise ValueError(kind)
-        else:
-            if kind == "Dense":
-                vec_values = layer.filters
-                lanes = blocks[-1].values if blocks[-1].cycles == 1 else 1
-                latency += -(-layer.in_channels // lanes) + 1
-                out = (1, layer.filters, layer.filters, vec_cycles)
-            elif kind == "ScaleShift":
-                latency += 2
-                out = (1, vec_values, blocks[-1].values, blocks[-1].cycles)
-            elif kind == "Mux":
-                d, m = blocks[-1].values, blocks[-1].cycles
-                if d % m == 0:
-                    out = (1, vec_values, d // m, 1)
-                elif m % d == 0:
-                    out = (1, vec_values, 1, m // d)
-                else:
-                    out = (1, vec_values, d, m)
-                latency += min(m, image_period)
-            elif kind == "Fifo":
-                latency += 1
-                fifo_hw[idx] = vec_values
-                out = (1, vec_values, blocks[-1].values, blocks[-1].cycles)
-            elif kind == "Buffer":
-                latency += 1
-                out = (1, vec_values, blocks[-1].values, blocks[-1].cycles)
-            else:
-                raise ValueError(f"layer {idx}: {kind} after the flattening Mux")
-        w, c, values, cycles = out
-        blocks.append(BlockRate(idx, kind, w, c, values, cycles))
-    fps = Fraction(int(net.clock_hz), net.input_width**2)
+        if kind == "Buffer":
+            pad = layer.kernel // 2
+            latency += 1 if flat else (pad * width + pad) * cycles
+        elif kind == "Conv":
+            chans = values = layer.filters
+            latency += _tree_depth_estimate(layer) + min(cycles, net.act_format.total_bits) - 1
+        elif kind == "ScaleShift":
+            latency += 2
+        elif kind == "MaxPool":
+            width //= layer.stride
+            cycles *= layer.stride * layer.stride
+            latency += max(1, (layer.kernel * layer.kernel - 1).bit_length())
+        elif kind == "Fifo":
+            latency += 1
+            fifo_hw[idx] = width * chans
+        elif kind == "Mux":
+            latency += cycles  # never more than a frame: pools shrink the width
+            width, chans, flat = 1, width * width * chans, True
+            if values % cycles == 0:
+                values, cycles = values // cycles, 1
+            elif cycles % values == 0:
+                values, cycles = 1, cycles // values
+        elif kind == "Dense":
+            lanes = values if flat and cycles == 1 else 1
+            latency += -(-layer.in_channels // lanes) + 1
+            width, chans, values, cycles, flat = 1, layer.filters, layer.filters, period, True
+        blocks.append(BlockRate(idx, kind, width, chans, values, cycles))
+    fps = Fraction(int(net.clock_hz), period)
     return ThroughputReport(tuple(blocks), fps, int(fps), latency, fifo_hw)
 
 
@@ -596,11 +453,11 @@ def parse_img(blob: bytes) -> ImageStream:
     head = blob[:nl].decode("ascii", errors="replace").split()
     if len(head) != 5 or head[0] != "img":
         raise ImageFormatError("header must be 'img <W> <H> <D> <frac_bits>'")
-    try:
-        w, h, d, frac = (int(t) for t in head[1:])
-    except ValueError as e:
-        raise ImageFormatError(f"bad header field: {e}") from e
-    if w < 1 or h < 1 or d < 1 or frac < 0:
+    bad = next((t for t in head[1:] if not _ascii_digits(t)), None)
+    if bad is not None:
+        raise ImageFormatError(f"bad header field {bad!r}: expected ASCII digits")
+    w, h, d, frac = (int(t) for t in head[1:])
+    if min(w, h, d) < 1:
         raise ImageFormatError("header dimensions must be positive")
     body = blob[nl + 1 :]
     count = w * h * d
@@ -610,15 +467,22 @@ def parse_img(blob: bytes) -> ImageStream:
         return ImageStream(data, frac)
     try:
         tokens = body.decode("ascii").split()
-        vals = [int(t) for t in tokens]
-    except (UnicodeDecodeError, ValueError) as e:
+    except UnicodeDecodeError as e:
         raise ImageFormatError(f"image body is neither text samples nor a 16-bit raster: {e}") from e
+    bad = next((t for t in tokens if not _ascii_digits(t.removeprefix("-"))), None)
+    if bad is not None:
+        raise ImageFormatError(f"bad sample {bad!r}: expected ASCII digits with an optional leading minus")
+    vals = [int(t) for t in tokens]
     if len(vals) != count:
         raise ImageFormatError(f"expected {count} samples, found {len(vals)}")
     bad = next((v for v in vals if not -(1 << 15) <= v < (1 << 15)), None)
     if bad is not None:
         raise ImageFormatError(f"sample {bad} is outside the signed 16-bit range [-32768, 32767]")
     return ImageStream(np.array(vals, dtype=np.int64).reshape(h, w, d), frac)
+
+
+def _ascii_digits(tok: str) -> bool:
+    return tok.isascii() and tok.isdigit()
 
 
 def _looks_textual(body: bytes, count: int) -> bool:

@@ -247,10 +247,6 @@ def area_slice_estimate(g: AdderGraph) -> float:
     return cost(g).adders * 2.0 / g.digits
 
 
-def cycles_per_sample(g: AdderGraph) -> int:
-    return g.digits
-
-
 def pipeline_latency(g: AdderGraph) -> int:
     return cost(g).depth + g.digits - 1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,9 +18,11 @@ from ternroll import (
     td_cse,
     ternarize,
 )
+from ternroll import cli
 from ternroll.cli import main
 from ternroll.matrices import FloatMatrix, dump_fmx, dump_tmx, load_tmx
-from ternroll.cse import parse_cse
+from ternroll.cse import CseResult, parse_cse
+from ternroll.expressions import Expression
 from ternroll import netlist
 from ternroll.network import save_network
 from ternroll.pipeline import dump_img
@@ -80,8 +83,64 @@ def test_cse_first_definition_line(tmp_path, m7x6_file, capsys):
 
 def test_cse_verify_flag(tmp_path, m7x6_file, capsys):
     out = tmp_path / "m7x6.cse"
-    assert main(["cse", "--method", "bu", "--verify", "50", "--seed", "7", m7x6_file, str(out)]) == 0
+    assert main(["cse", "--method", "bu", m7x6_file, str(out)]) == 0
     assert "verify=ok" in capsys.readouterr().out
+
+
+def _one_sign_flipped(r: CseResult) -> CseResult:
+    outputs = list(r.outputs)
+    (v, s), *rest = outputs[1].terms
+    outputs[1] = Expression(((v, -s), *rest))
+    return CseResult(r.n_inputs, r.definitions, tuple(outputs), r.stats)
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [("cse", "cse result differs from its matrix"), ("emit", "adder graph differs from its matrix")],
+)
+def test_wrong_cse_result_fails_the_proof(tmp_path, m7x6_file, capsys, monkeypatch, command, message):
+    real = cli._run_cse
+    monkeypatch.setattr(cli, "_run_cse", lambda method, m: _one_sign_flipped(real(method, m)))
+    out = tmp_path / "out"
+    assert main([command, "--method", "td", m7x6_file, str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert sorted(os.listdir(tmp_path)) == ["m7x6.tmx"]
+
+
+@pytest.mark.parametrize(
+    "budget, columns", [(cli._EVAL_BUDGET, "0-5"), (1, "2-2")], ids=["one-block", "column-blocks"]
+)
+def test_wrong_adder_graph_fails_the_proof(tmp_path, m7x6_file, capsys, monkeypatch, budget, columns):
+    # row 0 of the matrix is 00++00, so its negation differs in columns 2 and 3
+    monkeypatch.setattr(cli, "_EVAL_BUDGET", budget)
+    assert main(["emit", "--method", "bu", m7x6_file, str(tmp_path / "ok.ngl")]) == 0
+    os.remove(tmp_path / "ok.ngl")
+    real = cli._build_graph
+
+    def negate_first_output(*args):
+        g = real(*args)
+        nodes = list(g.nodes)
+        ((ref, s),) = nodes[g.outputs[0]].operands
+        nodes[g.outputs[0]] = dataclasses.replace(nodes[g.outputs[0]], operands=((ref, -s),))
+        return dataclasses.replace(g, nodes=tuple(nodes))
+
+    monkeypatch.setattr(cli, "_build_graph", negate_first_output)
+    assert main(["emit", "--method", "bu", m7x6_file, str(tmp_path / "out.ngl")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"adder graph differs from its matrix in columns {columns}" in err
+    assert sorted(os.listdir(tmp_path)) == ["m7x6.tmx"]
+
+
+def test_stats_on_an_invalid_graph_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.ngl"
+    path.write_text(
+        "ngl inputs 2 outputs 1 nodes 4 digits 1 total 16 aligned 1\n"
+        "node 0 in 0 16\nnode 1 in 0 16\nnode 2 add 5 16 +0 +1\nnode 3 out 5 16 +2\n"
+    )
+    assert main(["stats", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "ternroll: add node 2 at stage 5 reads node 0 at stage 0\n"
 
 
 def test_tree_and_stats_roundtrip(tmp_path, m7x6_file, capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ternroll import (
     TernaryMatrix,
     bu_cse,
-    evaluate_cse,
     expand_rows,
     find_counterexample,
     no_cse,
@@ -315,8 +314,8 @@ def test_bu_three_row_exhaustive_oracle():
 
 
 def test_verify_exhaustive_small(m7x6):
-    assert verify_equivalence(m7x6, td_cse(m7x6), trials=0)
-    assert verify_equivalence(m7x6, bu_cse(m7x6), trials=0)
+    assert verify_equivalence(m7x6, td_cse(m7x6))
+    assert verify_equivalence(m7x6, bu_cse(m7x6))
 
 
 def test_identity_outputs_always_equivalent(rng):
@@ -331,11 +330,21 @@ def test_corrupted_result_found_with_witness(m7x6):
     flipped[1] = Expression(((v, -s),) + flipped[1].terms[1:])
     bad = CseResult(r.n_inputs, r.definitions, tuple(flipped), r.stats)
     w = find_counterexample(m7x6, bad)
-    assert w is not None
-    got = evaluate_cse(bad, w)
+    assert w.tolist() == [int(c == v) for c in range(6)]  # e_v, the flipped column
+    got = expand_rows(bad) @ w
     want = m7x6.matvec(w)
     assert any(int(a) != int(b) for a, b in zip(got, want))
     assert not verify_equivalence(m7x6, bad)
+
+
+def test_counterexample_rejects_other_shapes(m7x6):
+    r = td_cse(m7x6)
+    wider = TernaryMatrix(np.zeros((7, 7), dtype=np.int8))
+    with pytest.raises(ValueError, match=r"result is 7x6 \(outputs x inputs\), matrix is 7x7"):
+        find_counterexample(wider, r)
+    taller = TernaryMatrix(np.zeros((8, 6), dtype=np.int8))
+    with pytest.raises(ValueError, match="matrix is 8x6"):
+        find_counterexample(taller, r)
 
 
 def test_symbolic_expansion_random(rng):

@@ -11,9 +11,10 @@ from ternroll.fixedpoint import (
     dequantize,
     quantize,
     round_half_away,
-    scale_shift_scalar,
     shift_right_round,
 )
+from ternroll.network import ScaleShiftParams
+from ternroll.pipeline import scale_shift
 
 
 def test_defaults():
@@ -87,27 +88,30 @@ def test_shift_right_round_zero_bits():
     assert shift_right_round(12345, 0) == 12345
 
 
+def _one_channel(x_raw: int, c: float, b: float, act: str = "None", counter=None) -> int:
+    """scale_shift on a single-channel input: the scalar datapath."""
+    (y,) = scale_shift([x_raw], ScaleShiftParams((c,), (b,)), act, SCALE_FORMAT, ACT_FORMAT, counter)
+    return int(y)
+
+
 def test_scale_shift_scalar_identity():
     # c = 1.0 is raw 64 in Q10.6; b = 0
-    y = scale_shift_scalar(80, 64, 0, SCALE_FORMAT, ACT_FORMAT, relu=False)
-    assert y == 80
+    assert _one_channel(80, 1.0, 0.0) == 80
 
 
 def test_scale_shift_scalar_constant():
     # c = 0, b = 5.0 -> raw 80 in Q12.4
-    y = scale_shift_scalar(12345, 0, 80, SCALE_FORMAT, ACT_FORMAT, relu=False)
-    assert y == 80
+    assert _one_channel(12345, 0.0, 5.0) == 80
 
 
 def test_scale_shift_scalar_relu():
-    y = scale_shift_scalar(-160, 64, 0, SCALE_FORMAT, ACT_FORMAT, relu=True)
-    assert y == 0
+    assert _one_channel(-160, 1.0, 0.0, act="ReLU") == 0
 
 
 def test_scale_shift_scalar_saturates():
     counter = SaturationCounter()
-    y = scale_shift_scalar(32767, 32767, 0, SCALE_FORMAT, ACT_FORMAT, relu=False, counter=counter)
-    assert y == 32767
+    # c = 32767 / 64 is the largest Q10.6 value, raw 32767
+    assert _one_channel(32767, 32767 / 64, 0.0, counter=counter) == 32767
     assert counter.count == 1
 
 
@@ -117,9 +121,7 @@ def test_scale_shift_scalar_saturates():
     st.floats(-100.0, 100.0, allow_nan=False),
 )
 def test_scale_shift_error_bound(x_raw, c, b):
-    c_raw = quantize(c, SCALE_FORMAT).raw
-    b_raw = quantize(b, ACT_FORMAT).raw
-    y = scale_shift_scalar(x_raw, c_raw, b_raw, SCALE_FORMAT, ACT_FORMAT, relu=False)
+    y = _one_channel(x_raw, c, b)
     exact = c * (x_raw / 16.0) + b
     if abs(exact) < 2000.0:  # stay clear of the saturation region
         # quantizing c and b plus the rounded product shift each cost at most

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternroll import (
     AdderGraph,
@@ -84,6 +86,69 @@ def test_parse_rejects_non_ascii_operand_digits(operand):
     )
     with pytest.raises(NetlistParseError, match="line 3: field 7: bad signed operand"):
         parse(text)
+
+
+TWO_INPUT_ADD = (
+    "ngl inputs 2 outputs 1 nodes 4 digits 1 total 16 aligned 1\n"
+    "node 0 in 0 16\n"
+    "node 1 in 0 16\n"
+    "node 2 add 1 16 +0 +1\n"
+    "node 3 out 1 16 +2\n"
+)
+
+
+def test_parse_reports_an_invalid_graph_as_a_parse_error():
+    assert len(parse(TWO_INPUT_ADD).nodes) == 4
+    # the add at stage 5 reads two stage-0 inputs
+    with pytest.raises(NetlistParseError, match="add node 2 at stage 5 reads node 0 at stage 0"):
+        parse(TWO_INPUT_ADD.replace("add 1", "add 5").replace("out 1", "out 5"))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("inputs 2", "inputs \u0662"),
+        ("nodes 4", "nodes 4\u0660"),
+        ("total 16", "total 1_6"),
+        ("node 1 in", "node \u0661 in"),
+        ("node 2 add", "node +2 add"),
+        ("add 1 16", "add \u0661 16"),
+        ("out 1 16", "out 1 1_6"),
+    ],
+    ids=["header-arabic-indic", "header-trailing-arabic-indic", "header-underscore", "node-id-arabic-indic",
+         "node-id-plus", "stage-arabic-indic", "width-underscore"],
+)
+def test_parse_takes_ascii_digit_integers_only(old, new):
+    with pytest.raises(NetlistParseError, match="expected integer"):
+        parse(TWO_INPUT_ADD.replace(old, new, 1))
+
+
+@st.composite
+def ngl_texts(draw):
+    """Netlists whose header counts match their nodes, so that they reach
+    graph validation, with at most one character then replaced."""
+    kinds, lines = [], []
+    for i in range(draw(st.integers(0, 6))):
+        kinds.append(draw(st.sampled_from(["in", "add", "delay", "out"])))
+        ops = draw(st.lists(st.tuples(st.sampled_from("+-"), st.integers(0, max(i - 1, 0))), max_size=3))
+        refs = "".join(f" {sign}{ref}" for sign, ref in ops)
+        lines.append(f"node {i} {kinds[-1]} {draw(st.integers(0, 3))} 16{refs}")
+    aligned = draw(st.sampled_from("01"))
+    head = f"ngl inputs {kinds.count('in')} outputs {kinds.count('out')} nodes {len(kinds)} digits 1 total 16"
+    text = "\n".join([f"{head} aligned {aligned}", *lines]) + "\n"
+    if draw(st.booleans()):
+        pos = draw(st.integers(0, len(text) - 1))
+        text = text[:pos] + draw(st.sampled_from("0123456789+-_ x\n\u0661")) + text[pos + 1 :]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=ngl_texts() | st.text())
+def test_parse_parses_or_raises_its_format_error(text):
+    try:
+        parse(text)
+    except NetlistParseError:
+        pass
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,14 @@ def test_declared_interval_checked_against_cascade():
         parse_network(json.dumps(obj))
 
 
+@pytest.mark.parametrize("kind", ["Conv", "MaxPool"])
+def test_image_block_after_the_flattened_stream_rejected(kind):
+    obj = small_net_obj()
+    obj["layers"].append({"kind": kind, "in_width": 1, "in_channels": 3, "filters": 2})
+    with pytest.raises(NetworkFormatError, match=f"layer 6: {kind} after the stream is flattened"):
+        parse_network(json.dumps(obj))
+
+
 def test_even_conv_kernel_rejected():
     with pytest.raises(NetworkFormatError, match="odd"):
         LayerSpec("Conv", 8, 1, kernel=2, filters=4)

@@ -2,8 +2,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ternroll import (
     ImageStream,
@@ -15,10 +13,8 @@ from ternroll import (
     WindowBuffer,
     bu_cse,
     build_tree,
-    dense,
     evaluate,
     max_pool,
-    mux_layer,
     no_cse,
     op_count,
     scale_shift,
@@ -30,7 +26,6 @@ from ternroll import (
 from ternroll.matrices import random_ternary
 from ternroll.pipeline import (
     ImageFormatError,
-    dense_memory,
     dump_img,
     format_img,
     load_img,
@@ -179,67 +174,37 @@ def test_scale_shift_float_reference_bound(rng):
 
 
 # ---------------------------------------------------------------------------
-# Mux
-
-
-def test_mux_256_over_64():
-    bursts = [list(range(256))]
-    out = mux_layer(bursts, 64)
-    assert len(out) == 64
-    assert all(len(chunk) == 4 for chunk in out)
-    assert [v for chunk in out for v in chunk] == list(range(256))
-
-
-def test_mux_passthrough():
-    out = mux_layer([[1, 2, 3]], 1)
-    assert out == [[1, 2, 3]]
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, 5))))
-def test_mux_order_preserved(md):
-    m, lanes = md
-    burst = list(range(m * lanes))
-    out = mux_layer([burst], m)
-    assert [v for chunk in out for v in chunk] == burst
-
-
-def test_mux_indivisible_errors():
-    with pytest.raises(ValueError):
-        mux_layer([[1, 2, 3]], 2)
-
-
-# ---------------------------------------------------------------------------
 # Dense
 
 
-def test_dense_memory_model_1mb():
-    t = TernaryMatrix(np.zeros((128, 4096), dtype=np.int8))
-    rep = dense_memory(t, lanes=4)
-    assert rep.storage_bits == 1_048_576  # 1 Mb
-    assert rep.bandwidth_bits_per_cycle == 1024
-    assert rep.bram_equivalents == 16
+def dense_net(inputs: int, outputs: int) -> NetworkSpec:
+    """A vector network: one Dense layer, then an identity ScaleShift."""
+    return NetworkSpec((LayerSpec("Dense", 1, inputs, filters=outputs), LayerSpec("ScaleShift", 1, outputs)))
+
+
+def identity_weights(t: TernaryMatrix) -> dict:
+    return {0: t, 1: ScaleShiftParams((1.0,) * t.rows, (0.0,) * t.rows)}
 
 
 def test_dense_identity_rows_select(rng):
     t = TernaryMatrix(np.eye(4, dtype=np.int8))
-    p = ScaleShiftParams((1.0,) * 4, (0.0,) * 4)
     x = rng.integers(-100, 100, size=4)
-    assert np.array_equal(dense(x, t, p), x)
+    res = simulate(dense_net(4, 4), identity_weights(t), ImageStream(x.reshape(1, 1, 4)))
+    assert res.scores == tuple(x)
 
 
 def test_dense_matches_matvec_oracle(rng):
     t = random_ternary(10, 64, 0.6, rng)
     x = rng.integers(-50, 50, size=64)
-    p = ScaleShiftParams((1.0,) * 10, (0.0,) * 10)
     want = t.entries.astype(np.int64) @ x
-    assert np.array_equal(dense(x, t, p), np.clip(want, -32768, 32767))
+    res = simulate(dense_net(64, 10), identity_weights(t), ImageStream(x.reshape(1, 1, 64)))
+    assert res.scores == tuple(np.clip(want, -32768, 32767))
 
 
 def test_dense_dimension_mismatch(rng):
     t = random_ternary(3, 8, 0.5, rng)
-    with pytest.raises(ValueError):
-        dense(np.zeros(9, dtype=np.int64), t, ScaleShiftParams((1.0,) * 3, (0.0,) * 3))
+    with pytest.raises(ValueError, match="dense weights have 8 columns, input has 9"):
+        simulate(dense_net(9, 3), identity_weights(t), ImageStream(np.zeros((1, 1, 9), dtype=np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +393,14 @@ def test_doubling_width_quarters_fps():
     assert throughput_model(wide).fps_exact == base / 4
 
 
+def test_image_side_dense_takes_one_input_a_cycle():
+    # two values a cycle arrive, but a Dense fed by the image side is charged
+    # in_channels + 1 cycles, as if it took one input a cycle
+    net = NetworkSpec((LayerSpec("Conv", 3, 1, kernel=1, filters=2), LayerSpec("Dense", 3, 2, filters=2)))
+    assert [(b.values, b.cycles) for b in throughput_model(net).blocks] == [(2, 1), (2, 9)]
+    assert throughput_model(net).latency_cycles == 3
+
+
 def test_latency_positive_and_fifo_reported():
     rep = throughput_model(vgg7_cifar10())
     assert rep.latency_cycles > 0
@@ -500,6 +473,9 @@ def test_img_header_errors():
         parse_img(b"img 2 2 1 4\n0 0 0\n")
     with pytest.raises(ImageFormatError):
         parse_img(b"img 2 2 1 4\n0 0 0 0 9\n")
+    for header in (b"img 1_1 1 1 4", b"img 2 +1 1 4", b"img 2 1 1 -4"):  # ASCII digits only
+        with pytest.raises(ImageFormatError, match="bad header field"):
+            parse_img(header + b"\n0 0\n")
 
 
 def test_img_text_samples_must_fit_16_bits():
@@ -508,3 +484,9 @@ def test_img_text_samples_must_fit_16_bits():
     for sample in (b"32768", b"-32769", b"99999999999999999999999"):
         with pytest.raises(ImageFormatError, match="16-bit"):
             parse_img(b"img 2 1 1 4\n0 " + sample + b"\n")
+
+
+@pytest.mark.parametrize("sample", [b"1_0", b"+5", b"-", b"--5", b"5-"])
+def test_img_text_samples_take_ascii_digits_and_a_leading_minus(sample):
+    with pytest.raises(ImageFormatError, match="bad sample"):
+        parse_img(b"img 3 1 1 4\n0 -7 " + sample + b"\n")
