@@ -5,14 +5,11 @@ from .cse import (
     CseResult,
     CseStats,
     ExtractionEvent,
-    PairTable,
-    PatternMatrix,
     bu_cse,
     expand_rows,
     find_counterexample,
     no_cse,
     td_cse,
-    verify_equivalence,
 )
 from .expressions import Expression, expression
 from .fixedpoint import (
@@ -21,7 +18,6 @@ from .fixedpoint import (
     FixedPointFormat,
     FixedValue,
     SaturationCounter,
-    dequantize,
     quantize,
 )
 from .matrices import FloatMatrix, TernaryMatrix, random_ternary
@@ -71,8 +67,6 @@ __all__ = [
     "ImageStream",
     "LayerSpec",
     "NetworkSpec",
-    "PairTable",
-    "PatternMatrix",
     "SaturationCounter",
     "ScaleShiftParams",
     "SimulationResult",
@@ -82,7 +76,6 @@ __all__ = [
     "bu_cse",
     "build_tree",
     "cost",
-    "dequantize",
     "emit_netlist",
     "evaluate",
     "evaluate_batch",
@@ -106,7 +99,6 @@ __all__ = [
     "ternarize",
     "throughput_model",
     "validate_graph",
-    "verify_equivalence",
     "vgg7_cifar10",
     "window_stream",
 ]

@@ -8,7 +8,6 @@ failing run never leaves a partial artifact.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -18,16 +17,9 @@ import numpy as np
 from . import netlist
 from .cse import CseFormatError, CseResult, bu_cse, find_counterexample, format_cse, no_cse, parse_cse, td_cse
 from .fixedpoint import SaturationCounter
-from .matrices import (
-    MatrixFormatError,
-    dump_tmx,
-    format_tmx,
-    load_fmx,
-    load_tmx,
-)
-from .network import NetworkFormatError, NetworkSpec, ScaleShiftParams, load_network
+from .matrices import MatrixFormatError, TernaryMatrix, format_tmx, load_fmx, load_tmx
+from .network import NetworkFormatError, NetworkSpec, load_network, parse_scale_shift
 from .pipeline import ImageFormatError, load_img, op_count, simulate, throughput_model
-from .matrices import TernaryMatrix
 from .ternarize import sparsity_sweep, ternarize, threshold
 from .treegen import (
     GraphValidationError,
@@ -183,23 +175,15 @@ def _load_weights(net: NetworkSpec, directory: str) -> dict:
         elif layer.kind == "ScaleShift":
             path = os.path.join(directory, f"layer{idx:02d}.json")
             with open(path, "r", encoding="utf-8") as f:
-                obj = json.load(f)
-            if not isinstance(obj, dict):
-                raise NetworkFormatError(f"{path}: expected a JSON object with keys 'c' and 'b'")
-            unknown = set(obj) - {"c", "b", "s"}
-            if unknown:
-                raise NetworkFormatError(f"{path}: unknown keys {sorted(unknown)}")
-            missing = {"c", "b"} - set(obj)
-            if missing:
-                raise NetworkFormatError(f"{path}: missing keys {sorted(missing)}")
+                text = f.read()
             try:
-                weights[idx] = ScaleShiftParams(tuple(obj["c"]), tuple(obj["b"]), float(obj.get("s", 1.0)))
-            except TypeError as e:
+                weights[idx] = parse_scale_shift(text)
+            except NetworkFormatError as e:
                 raise NetworkFormatError(f"{path}: {e}") from e
     return weights
 
 
-def _explain(net_path: str, net: NetworkSpec, args, keys: list[tuple[str, object, str]]) -> None:
+def _explain(net_path: str, keys: list[tuple[str, object, str]]) -> None:
     print(f"network = {net_path}")
     for name, value, source in keys:
         print(f"{name} = {value} (from {source})")
@@ -216,8 +200,6 @@ def _cmd_report_throughput(args) -> int:
     if args.explain_config:
         _explain(
             args.netfile,
-            net,
-            args,
             [
                 ("clock_hz", net.clock_hz, clock_src),
                 ("act_format", net.act_format, "network file"),
@@ -272,8 +254,6 @@ def _cmd_simulate(args) -> int:
     if args.explain_config:
         _explain(
             args.netfile,
-            net,
-            args,
             [
                 ("clock_hz", net.clock_hz, "network file"),
                 ("act_format", net.act_format, "network file"),

@@ -17,7 +17,6 @@ documented tie-breaks. Both preserve exact symbolic equivalence:
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,33 +79,6 @@ def no_cse(m: TernaryMatrix) -> CseResult:
 # Top-down extraction
 
 
-class PairTable:
-    """Occurrence sets for canonical two-term patterns, built from scratch.
-
-    A pattern {s_u*x_u, s_v*x_v} inside a row is keyed as (u, v, s_u*s_v)
-    with u < v, so a pair and its global negation share one entry.
-    ``td_cse`` keeps these occurrences as a dense key array; this table is
-    the reference that ``check_table=True`` compares it with.
-    """
-
-    __slots__ = ("occ",)
-
-    def __init__(self) -> None:
-        self.occ: dict[tuple[int, int, int], set[int]] = {}
-
-    @staticmethod
-    def key(u: int, su: int, v: int, sv: int) -> tuple[int, int, int]:
-        return (u, v, su * sv) if u < v else (v, u, su * sv)
-
-    @classmethod
-    def from_rows(cls, rows: list[dict[int, int]]) -> "PairTable":
-        t = cls()
-        for idx, row in enumerate(rows):
-            for (u, su), (v, sv) in itertools.combinations(row.items(), 2):
-                t.occ.setdefault(t.key(u, su, v, sv), set()).add(idx)
-        return t
-
-
 def _pair_keys(signs: np.ndarray, cols: np.ndarray, n_vars: int) -> np.ndarray:
     """Keys of the pairs (c, v) for each c in ``cols`` and every v < n_vars.
 
@@ -139,7 +111,6 @@ def td_cse(
     *,
     max_extractions: int | None = None,
     trace: list[ExtractionEvent] | None = None,
-    check_table: bool = False,
 ) -> CseResult:
     """Frequency-driven extraction of two-term patterns.
 
@@ -159,9 +130,7 @@ def td_cse(
     winners and the first argmax of K[i] the smallest j, then the same-sign
     orientation: the tie-break above. An extraction changes only the pairs
     of i, j and the new variable, so those three columns of K are recomputed
-    from S, and best only for rows whose maximum fell. ``check_table``
-    compares K with the keys of ``PairTable.from_rows`` after every
-    extraction and fails loudly on any divergence (slow, for testing).
+    from S, and best only for rows whose maximum fell.
     """
     n_rows, n_inputs = m.rows, m.cols
     n_terms = int(np.count_nonzero(m.entries))
@@ -219,13 +188,6 @@ def td_cse(
         np.maximum(best[:n], new_max, out=best[:n], casting="unsafe")
         stale = np.flatnonzero(stale)
         best[stale] = keys[stale, :n].max(axis=(1, 2))
-        if check_table:
-            want = np.zeros((n, n, 2), dtype=np.int64)
-            for (u, v, r), hits in PairTable.from_rows(_rows_of(signs[:, :n])).occ.items():
-                if len(hits) >= 2:
-                    want[[u, v], [v, u], (1 - r) // 2] = len(hits) * n_rows + n_rows - 1 - min(hits)
-            if not (np.array_equal(keys[:n, :n], want) and np.array_equal(best[:n], want.max(axis=(1, 2)))):
-                raise RuntimeError("incremental pair keys diverged from the from-scratch table")
 
     outputs = tuple(from_dict(row) for row in _rows_of(signs[:, :n]))
     total = _total_terms([d.terms for d in definitions]) + _total_terms([o.terms for o in outputs])
@@ -324,10 +286,6 @@ class PatternMatrix:
         upper = r < s
         return r[upper], s[upper]
 
-    def argmax_pairs(self, value: int) -> list[tuple[int, int]]:
-        r, s = self._tied(value)
-        return list(zip(r.tolist(), s.tolist()))
-
     def best_pattern(self, size: int) -> np.ndarray:
         """The (2, words) bitsets of the pattern to extract among entries ``size``.
 
@@ -392,21 +350,6 @@ class PatternMatrix:
         """The working rows as {variable: sign} dicts."""
         return _rows_of(_unpack(self.bits[: self.n_rows], self.n_vars))
 
-    def values(self) -> np.ndarray:
-        return self._p[: self.n_rows, : self.n_rows].copy()
-
-    @staticmethod
-    def sizes_from_scratch(rows: list[dict[int, int]]) -> np.ndarray:
-        """Reference recomputation of the whole table, for testing."""
-        n = len(rows)
-        p = np.zeros((n, n), dtype=np.int32)
-        for r in range(n):
-            for s in range(r + 1, n):
-                direct = sum(1 for v, sv in rows[r].items() if rows[s].get(v) == sv)
-                neg = sum(1 for v, sv in rows[r].items() if rows[s].get(v) == -sv)
-                p[r, s] = p[s, r] = max(direct, neg)
-        return p
-
 
 def _topo_definitions(bodies: list[tuple[int, dict[int, int]]]) -> list[Expression]:
     """Order definitions so each references only inputs or earlier variables."""
@@ -438,7 +381,6 @@ def bu_cse(
     *,
     max_extractions: int | None = None,
     trace: list[ExtractionEvent] | None = None,
-    check_matrix: bool = False,
 ) -> CseResult:
     """Largest-common-pattern extraction driven by the pattern matrix.
 
@@ -450,9 +392,6 @@ def bu_cse(
     sorted variable tuple, then the smallest sign tuple with + before -,
     then the first row pair (r, s) in row order. Stops when the largest
     entry is at most one.
-    ``check_matrix`` compares the pattern matrix with a from-scratch one
-    after every extraction and fails loudly on any divergence (slow, for
-    testing).
     """
     pm = PatternMatrix(_rows_of(m.entries), m.cols)
     n_defs = 0
@@ -467,10 +406,6 @@ def bu_cse(
         if trace is not None:
             body = _rows_of(_unpack(pat[None], var))[0]
             trace.append(ExtractionEvent(var, from_dict(body), hits))
-        if check_matrix:
-            want = PatternMatrix.sizes_from_scratch(pm.rows())
-            if not (np.array_equal(pm.values(), want) and np.array_equal(pm._best[: pm.n_rows], want.max(axis=1))):
-                raise RuntimeError("incremental pattern matrix diverged from the from-scratch one")
 
     rows = pm.rows()
     definitions = _topo_definitions([(m.cols + k, rows[m.rows + k]) for k in range(n_defs)])
@@ -526,10 +461,6 @@ def find_counterexample(m: TernaryMatrix, result: CseResult) -> np.ndarray | Non
     e = np.zeros(m.cols, dtype=np.int64)
     e[bad[0]] = 1
     return e
-
-
-def verify_equivalence(m: TernaryMatrix, result: CseResult) -> bool:
-    return find_counterexample(m, result) is None
 
 
 # ---------------------------------------------------------------------------

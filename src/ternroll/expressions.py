@@ -38,12 +38,6 @@ class Expression:
     def variables(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.terms)
 
-    def negated(self) -> "Expression":
-        return Expression(tuple((v, -s) for v, s in self.terms), self.id)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

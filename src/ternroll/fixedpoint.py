@@ -35,10 +35,6 @@ class FixedPointFormat:
     def raw_max(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
 
-    @property
-    def resolution(self) -> float:
-        return 1.0 / self.scale
-
     def __str__(self) -> str:
         return f"Q{self.total_bits - self.frac_bits}.{self.frac_bits}"
 
@@ -94,10 +90,6 @@ def quantize(x: float, fmt: FixedPointFormat, counter: SaturationCounter | None 
     if not math.isfinite(x):
         raise ValueError(f"cannot quantize non-finite value {x!r}")
     return FixedValue(saturate(round_half_away(x * fmt.scale), fmt, counter), fmt)
-
-
-def dequantize(v: FixedValue) -> float:
-    return v.to_float()
 
 
 def shift_right_round(p, bits: int):

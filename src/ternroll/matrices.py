@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,8 +11,27 @@ TRIT_CHARS = {"-": -1, "0": 0, "+": 1}
 CHAR_OF_TRIT = {-1: "-", 0: "0", 1: "+"}
 
 
+# an fmx value: optional sign, ASCII digits with an optional point, optional exponent
+_FMX_REAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 class MatrixFormatError(ValueError):
     """A .tmx or .fmx file violates its format."""
+
+
+def _dimensions(lines: list[str], tag: str) -> tuple[int, int]:
+    """Rows and columns from a ``<tag> <rows> <cols>`` header of ASCII digits."""
+    if not lines:
+        raise MatrixFormatError(f"empty {tag} input")
+    head = lines[0].split()
+    if len(head) != 3 or head[0] != tag:
+        raise MatrixFormatError(f"line 1: expected '{tag} <rows> <cols>', got {lines[0]!r}")
+    if not all(t.isascii() and t.isdigit() for t in head[1:]):
+        raise MatrixFormatError(f"line 1: bad dimensions in {lines[0]!r}: expected ASCII digits")
+    rows, cols = int(head[1]), int(head[2])
+    if rows < 1 or cols < 1:
+        raise MatrixFormatError(f"line 1: dimensions must be positive, got {rows}x{cols}")
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -96,17 +116,7 @@ def parse_tmx(text: str) -> TernaryMatrix:
     is an error.
     """
     lines = text.splitlines()
-    if not lines:
-        raise MatrixFormatError("empty tmx input")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "tmx":
-        raise MatrixFormatError(f"line 1: expected 'tmx <rows> <cols>', got {lines[0]!r}")
-    try:
-        rows, cols = int(head[1]), int(head[2])
-    except ValueError as e:
-        raise MatrixFormatError(f"line 1: bad dimensions in {lines[0]!r}") from e
-    if rows < 1 or cols < 1:
-        raise MatrixFormatError(f"line 1: dimensions must be positive, got {rows}x{cols}")
+    rows, cols = _dimensions(lines, "tmx")
     body = lines[1:]
     if len(body) < rows:
         raise MatrixFormatError(f"expected {rows} rows, found {len(body)}")
@@ -131,27 +141,17 @@ def format_fmx(m: FloatMatrix) -> str:
 
 
 def parse_fmx(text: str) -> FloatMatrix:
-    """Parse the fmx format: header line, then whitespace-separated reals."""
+    """Parse the fmx format: header line, then whitespace-separated ASCII
+    decimal reals that are finite."""
     lines = text.splitlines()
-    if not lines:
-        raise MatrixFormatError("empty fmx input")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "fmx":
-        raise MatrixFormatError(f"line 1: expected 'fmx <rows> <cols>', got {lines[0]!r}")
-    try:
-        rows, cols = int(head[1]), int(head[2])
-    except ValueError as e:
-        raise MatrixFormatError(f"line 1: bad dimensions in {lines[0]!r}") from e
-    if rows < 1 or cols < 1:
-        raise MatrixFormatError(f"line 1: dimensions must be positive, got {rows}x{cols}")
+    rows, cols = _dimensions(lines, "fmx")
     tokens = "\n".join(lines[1:]).split()
     if len(tokens) != rows * cols:
         raise MatrixFormatError(f"expected {rows * cols} values, found {len(tokens)}")
-    try:
-        vals = [float(t) for t in tokens]
-    except ValueError as e:
-        raise MatrixFormatError(f"non-numeric value in fmx body: {e}") from e
-    a = np.array(vals, dtype=np.float64).reshape(rows, cols)
+    bad = next((t for t in tokens if not _FMX_REAL.fullmatch(t)), None)
+    if bad is not None:
+        raise MatrixFormatError(f"bad fmx value {bad!r}: expected an ASCII decimal real")
+    a = np.array([float(t) for t in tokens], dtype=np.float64).reshape(rows, cols)
     if not np.isfinite(a).all():
         raise MatrixFormatError("fmx body contains non-finite values")
     return FloatMatrix(a)

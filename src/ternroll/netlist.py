@@ -143,8 +143,3 @@ def parse(text: str) -> AdderGraph:
 def load(path: str) -> AdderGraph:
     with open(path, "r", encoding="ascii") as f:
         return parse(f.read())
-
-
-def dump(g: AdderGraph, path: str, name: str = "") -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(emit(g, name))

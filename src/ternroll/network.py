@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .fixedpoint import ACT_FORMAT, SCALE_FORMAT, FixedPointFormat
@@ -166,7 +166,37 @@ class NetworkSpec:
 
 _FORMAT_KEYS = {"total_bits", "frac_bits"}
 _LAYER_KEYS = {f.name for f in fields(LayerSpec)}
+_LAYER_INTS = ("in_width", "in_channels", "kernel", "stride", "filters", "pixel_interval")
 _TOP_KEYS = {"layers", "clock_hz", "act_format", "scale_format"}
+
+
+def _json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise NetworkFormatError(f"invalid JSON: {e}") from e
+    except RecursionError as e:
+        raise NetworkFormatError("invalid JSON: nested too deeply") from e
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer; true and false are not integers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise NetworkFormatError(f"{where}: expected a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number, as a float; true, false and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise NetworkFormatError(f"{where}: expected a JSON number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise NetworkFormatError(f"{where}: expected a finite number, got {value!r}")
+    return x
 
 
 def _parse_format(obj, where: str) -> FixedPointFormat:
@@ -178,18 +208,16 @@ def _parse_format(obj, where: str) -> FixedPointFormat:
     missing = _FORMAT_KEYS - set(obj)
     if missing:
         raise NetworkFormatError(f"{where}: missing keys {sorted(missing)}")
+    total, frac = (_integer(obj[k], f"{where}.{k}") for k in ("total_bits", "frac_bits"))
     try:
-        return FixedPointFormat(int(obj["total_bits"]), int(obj["frac_bits"]))
+        return FixedPointFormat(total, frac)
     except ValueError as e:
         raise NetworkFormatError(f"{where}: {e}") from e
 
 
 def parse_network(text: str) -> NetworkSpec:
     """Parse and validate the JSON network description. Unknown keys are rejected."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise NetworkFormatError(f"invalid JSON: {e}") from e
+    obj = _json(text)
     if not isinstance(obj, dict):
         raise NetworkFormatError("top level must be an object")
     unknown = set(obj) - _TOP_KEYS
@@ -207,6 +235,11 @@ def parse_network(text: str) -> NetworkSpec:
         for req in ("kind", "in_width", "in_channels"):
             if req not in entry:
                 raise NetworkFormatError(f"layer {idx}: missing key {req!r}")
+        for key in _LAYER_INTS:
+            if key in entry:
+                _integer(entry[key], f"layer {idx}: {key}")
+        if "epsilon" in entry:
+            _number(entry["epsilon"], f"layer {idx}: epsilon")
         try:
             layers.append(LayerSpec(**entry))
         except (TypeError, NetworkFormatError) as e:
@@ -215,13 +248,32 @@ def parse_network(text: str) -> NetworkSpec:
     scale = (
         _parse_format(obj["scale_format"], "scale_format") if "scale_format" in obj else SCALE_FORMAT
     )
-    try:
-        clock = float(obj.get("clock_hz", 125e6))
-    except (TypeError, ValueError) as e:
-        raise NetworkFormatError(f"clock_hz: {e}") from e
+    clock = _number(obj.get("clock_hz", 125e6), "clock_hz")
     net = NetworkSpec(tuple(layers), clock, act, scale)
     net.validate()
     return net
+
+
+def parse_scale_shift(text: str) -> ScaleShiftParams:
+    """Parse a weights directory's ScaleShift constants, the JSON object
+    ``{"c": [...], "b": [...], "s": <number>}`` with ``s`` optional."""
+    obj = _json(text)
+    if not isinstance(obj, dict):
+        raise NetworkFormatError("expected a JSON object with keys 'c' and 'b'")
+    unknown = set(obj) - {"c", "b", "s"}
+    if unknown:
+        raise NetworkFormatError(f"unknown keys {sorted(unknown)}")
+    missing = {"c", "b"} - set(obj)
+    if missing:
+        raise NetworkFormatError(f"missing keys {sorted(missing)}")
+    if not (isinstance(obj["c"], list) and isinstance(obj["b"], list)):
+        raise NetworkFormatError("'c' and 'b' must be lists of numbers")
+    c, b = ([_number(v, f"{key}[{k}]") for k, v in enumerate(obj[key])] for key in ("c", "b"))
+    s = _number(obj.get("s", 1.0), "s")
+    try:
+        return ScaleShiftParams(tuple(c), tuple(b), s)
+    except ValueError as e:
+        raise NetworkFormatError(str(e)) from e
 
 
 def format_network(net: NetworkSpec) -> str:

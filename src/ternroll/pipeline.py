@@ -429,46 +429,53 @@ def op_count(
 # ---------------------------------------------------------------------------
 # Image file format
 
+#: Sixth header field of an img file whose body is a 16-bit little-endian raster.
+RASTER_MARK = "le16"
+
 
 def format_img(img: ImageStream, binary: bool = False) -> bytes:
-    head = f"img {img.width} {img.height} {img.channels} {img.frac_bits}\n"
+    head = f"img {img.width} {img.height} {img.channels} {img.frac_bits}"
     flat = img.data.reshape(-1)
     if binary:
         lo, hi = -(1 << 15), (1 << 15) - 1
         if flat.min() < lo or flat.max() > hi:
             raise ImageFormatError("binary img payload requires 16-bit raw values")
-        return head.encode("ascii") + struct.pack(f"<{flat.size}h", *[int(v) for v in flat])
+        return f"{head} {RASTER_MARK}\n".encode("ascii") + struct.pack(f"<{flat.size}h", *[int(v) for v in flat])
     body = "\n".join(
         " ".join(str(int(v)) for v in img.data[i].reshape(-1)) for i in range(img.height)
     )
-    return (head + body + "\n").encode("ascii")
+    return (head + "\n" + body + "\n").encode("ascii")
 
 
 def parse_img(blob: bytes) -> ImageStream:
-    """Parse the img format: a header line, then either ASCII raw values or a
-    raw 16-bit little-endian raster of exactly W*H*D samples."""
+    """Parse the img format: a header line ``img <W> <H> <D> <frac_bits>``,
+    then ASCII raw values; or, with a sixth header field ``le16``, a raw
+    16-bit little-endian raster of exactly W*H*D samples."""
     nl = blob.find(b"\n")
     if nl < 0:
         raise ImageFormatError("missing img header line")
     head = blob[:nl].decode("ascii", errors="replace").split()
-    if len(head) != 5 or head[0] != "img":
-        raise ImageFormatError("header must be 'img <W> <H> <D> <frac_bits>'")
-    bad = next((t for t in head[1:] if not _ascii_digits(t)), None)
+    raster = head[5:] == [RASTER_MARK]
+    if len(head) != 5 + raster or head[0] != "img":
+        raise ImageFormatError(f"header must be 'img <W> <H> <D> <frac_bits> [{RASTER_MARK}]'")
+    bad = next((t for t in head[1:5] if not _ascii_digits(t)), None)
     if bad is not None:
         raise ImageFormatError(f"bad header field {bad!r}: expected ASCII digits")
-    w, h, d, frac = (int(t) for t in head[1:])
+    w, h, d, frac = (int(t) for t in head[1:5])
     if min(w, h, d) < 1:
         raise ImageFormatError("header dimensions must be positive")
     body = blob[nl + 1 :]
     count = w * h * d
-    if len(body) == 2 * count and not _looks_textual(body, count):
+    if raster:
+        if len(body) != 2 * count:
+            raise ImageFormatError(f"{RASTER_MARK} raster needs {2 * count} bytes, found {len(body)}")
         vals = struct.unpack(f"<{count}h", body)
         data = np.array(vals, dtype=np.int64).reshape(h, w, d)
         return ImageStream(data, frac)
     try:
         tokens = body.decode("ascii").split()
     except UnicodeDecodeError as e:
-        raise ImageFormatError(f"image body is neither text samples nor a 16-bit raster: {e}") from e
+        raise ImageFormatError(f"text image body is not ASCII: {e}") from e
     bad = next((t for t in tokens if not _ascii_digits(t.removeprefix("-"))), None)
     if bad is not None:
         raise ImageFormatError(f"bad sample {bad!r}: expected ASCII digits with an optional leading minus")
@@ -483,18 +490,6 @@ def parse_img(blob: bytes) -> ImageStream:
 
 def _ascii_digits(tok: str) -> bool:
     return tok.isascii() and tok.isdigit()
-
-
-def _looks_textual(body: bytes, count: int) -> bool:
-    # A pure ASCII digit/whitespace payload of exactly 2*count bytes is read
-    # as text; anything else of that length is the binary raster.
-    try:
-        text = body.decode("ascii")
-    except UnicodeDecodeError:
-        return False
-    if not all(ch.isdigit() or ch.isspace() or ch == "-" for ch in text):
-        return False
-    return len(text.split()) == count
 
 
 def load_img(path: str) -> ImageStream:

@@ -247,10 +247,6 @@ def area_slice_estimate(g: AdderGraph) -> float:
     return cost(g).adders * 2.0 / g.digits
 
 
-def pipeline_latency(g: AdderGraph) -> int:
-    return cost(g).depth + g.digits - 1
-
-
 def evaluate_batch(g: AdderGraph, xs: np.ndarray) -> np.ndarray:
     """Exact evaluation of every output on a (n_inputs, batch) int matrix."""
     xs = np.asarray(xs, dtype=np.int64)

@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ternroll
 from ternroll import (
@@ -26,6 +31,8 @@ from ternroll.expressions import Expression
 from ternroll import netlist
 from ternroll.network import save_network
 from ternroll.pipeline import dump_img
+
+from .test_pipeline import tiny_net, tiny_weights
 
 TMX_7X6 = "tmx 7 6\n00++00\n+0+++0\n0+00++\n0+000+\n+0++00\n+00+00\n0+00++\n"
 VGG7_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "vgg7_cifar10.json")
@@ -219,7 +226,6 @@ def test_report_ops_dense_column(capsys):
 
 def test_report_ops_with_weights_and_cse(tmp_path, capsys, rng):
     net_path = tmp_path / "net.json"
-    from .test_pipeline import tiny_net, tiny_weights
 
     net = tiny_net()
     save_network(net, str(net_path))
@@ -236,8 +242,6 @@ def test_report_ops_with_weights_and_cse(tmp_path, capsys, rng):
 
 
 def test_simulate_cli_matches_library(tmp_path, capsys, rng):
-    from .test_pipeline import tiny_net, tiny_weights
-
     net = tiny_net()
     w = tiny_weights(rng)
     net_path = tmp_path / "net.json"
@@ -285,8 +289,6 @@ def test_exit_codes_subprocess(tmp_path):
 
 
 def test_threads_env_caps_parallel_report(tmp_path, rng):
-    from .test_pipeline import tiny_net, tiny_weights
-
     net = tiny_net()
     w = tiny_weights(rng)
     net_path = tmp_path / "net.json"
@@ -307,7 +309,6 @@ def test_threads_env_caps_parallel_report(tmp_path, rng):
 
 def test_simulate_requires_weights_and_image(tmp_path):
     net_path = tmp_path / "net.json"
-    from .test_pipeline import tiny_net
 
     save_network(tiny_net(), str(net_path))
     r = run_cli(["simulate", str(net_path)])
@@ -317,8 +318,6 @@ def test_simulate_requires_weights_and_image(tmp_path):
 
 def _tiny_network_files(tmp_path, rng):
     """The tiny test network, its weights directory and a matching image."""
-    from .test_pipeline import tiny_net, tiny_weights
-
     net_path = tmp_path / "net.json"
     save_network(tiny_net(), str(net_path))
     w = tiny_weights(rng)
@@ -334,8 +333,18 @@ def _tiny_network_files(tmp_path, rng):
 
 @pytest.mark.parametrize(
     "body",
-    [{"b": [0.0] * 4}, {"c": [1.0] * 4}, 4.0, {"c": 1.0, "b": 0.0}],
-    ids=["no-c", "no-b", "not-an-object", "scalar-c"],
+    [
+        {"b": [0.0] * 4},
+        {"c": [1.0] * 4},
+        4.0,
+        {"c": 1.0, "b": 0.0},
+        {"c": ["1"] * 4, "b": [0.0] * 4},
+        {"c": [1.0] * 4, "b": [True] * 4},
+        {"c": [1.0] * 4, "b": [0.0] * 4, "s": "2"},
+        {"c": "1234", "b": [0.0] * 4},
+        {"c": [10**400] * 4, "b": [0.0] * 4},
+    ],
+    ids=["no-c", "no-b", "not-an-object", "scalar-c", "string-c", "bool-b", "string-s", "string-body", "big-int-c"],
 )
 def test_bad_scale_shift_file_exits_2(tmp_path, capsys, rng, body):
     net_path, wdir, img_path = _tiny_network_files(tmp_path, rng)
@@ -358,3 +367,114 @@ def test_report_throughput_rejects_infinite_clock(capsys):
     assert main(["report-throughput", VGG7_CONFIG, "--clock", "inf"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "clock_hz" in err
+
+
+def _net_text(top=None, layers=None, act=None):
+    obj = {"clock_hz": 1e8, "act_format": {"total_bits": 16, "frac_bits": 4}}
+    obj["layers"] = layers or [
+        {"kind": "Buffer", "in_width": 4, "in_channels": 1, "kernel": 3},
+        {"kind": "Mux", "in_width": 4, "in_channels": 1},
+        {"kind": "Dense", "in_width": 1, "in_channels": 16, "filters": 2},
+    ]
+    obj.update(top or {})
+    obj["act_format"].update(act or {})
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "text, command",
+    [
+        (_net_text(act={"frac_bits": [1]}), "report-throughput"),
+        (_net_text().replace('"total_bits": 16', '"total_bits": 1e999'), "report-throughput"),
+        (_net_text(layers=[{"kind": "Buffer", "in_width": 4.5, "in_channels": 1}]), "report-throughput"),
+        (_net_text().replace('"filters": 2', '"filters": 2.5'), "report-throughput"),
+        (_net_text().replace('"filters": 2', '"filters": 2.5'), "report-ops"),
+        (_net_text(act={"total_bits": 16.9, "frac_bits": 4.2}), "report-throughput"),
+        (_net_text(top={"clock_hz": True}, layers=[{"kind": "Buffer", "in_width": True, "in_channels": 1}]), "report-throughput"),
+    ],
+    ids=["list-frac", "1e999-total", "float-width", "float-filters", "float-filters-ops", "float-format", "bool-width-clock"],
+)
+def test_network_json_number_of_the_wrong_type_exits_2(tmp_path, capsys, text, command):
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "expected a JSON integer" in err
+
+
+# In-process runs of each command over the tiny network's files, one of
+# them replaced by text or bytes close to that file's format.
+_TMX = st.sampled_from(["tmx 4 9\n", "tmx 1_0 9\n", "tmx 4 9 9\n", "tmx 3 64\n"]).flatmap(
+    lambda head: st.lists(st.text(alphabet="+-0x", min_size=8, max_size=10), max_size=4).map(
+        lambda rows: head + "\n".join(rows) + "\n"
+    )
+) | st.text()
+_FMX = st.lists(st.sampled_from(["0.5", "-1", "1_0", "nan", "1e999", ".5", "x"]), max_size=4).map(
+    lambda vals: "fmx 2 2\n" + " ".join(vals) + "\n"
+) | st.text()
+_JSON_VALUE = st.none() | st.booleans() | st.integers(-2, 70) | st.just(10**400) | st.floats() | st.text(max_size=2)
+_SCALE_SHIFT = st.fixed_dictionaries(
+    {}, optional={"c": st.lists(_JSON_VALUE, max_size=4), "b": st.lists(_JSON_VALUE, max_size=4), "s": _JSON_VALUE}
+).map(json.dumps) | st.text()
+_NETWORK_EDIT = st.tuples(
+    st.integers(0, 5),
+    st.sampled_from(["in_width", "in_channels", "kernel", "stride", "filters", "epsilon", "pixel_interval", "kind"]),
+    _JSON_VALUE,
+)
+_IMG = st.sampled_from([b"img 8 8 1 4", b"img 8 8 1 4 le16", b"img 8 8 1 9", b"img 8_0 8 1 4", b"img 8 8 1"]).flatmap(
+    lambda head: (st.binary(max_size=130) | st.lists(st.sampled_from(["1", "-7", "1_0", "+5", "40000"]), max_size=64).map(
+        lambda t: " ".join(t).encode()
+    )).map(lambda body: head + b"\n" + body)
+)
+_CASES = st.one_of(
+    st.tuples(st.just("layer01.tmx"), _TMX),
+    st.tuples(st.just("layer02.json"), _SCALE_SHIFT),
+    st.tuples(st.just("net.json"), _NETWORK_EDIT),
+    st.tuples(st.just("net.json"), st.text()),
+    st.tuples(st.just("img.txt"), _IMG),
+    st.tuples(st.just("w.fmx"), _FMX),
+    st.tuples(st.just("in.cse"), st.text(alphabet="defout x0123+-=\n", max_size=30)),
+    st.tuples(st.just("in.ngl"), st.text(alphabet="ngl node in add delay out 0123+-\n", max_size=40)),
+)
+
+
+def _commands(d: str) -> list[list[str]]:
+    net, w, img, out = (os.path.join(d, f) for f in ("net.json", "weights", "img.txt", "out"))
+    tmx = os.path.join(w, "layer01.tmx")
+    return [
+        ["simulate", net, img, "--weights", w],
+        ["report-ops", net, w, "--with-cse", "--method", "td"],
+        ["report-throughput", net],
+        ["cse", "--method", "bu", tmx, out],
+        ["emit", "--method", "td", tmx, out],
+        ["ternarize", "--eps", "0.7", os.path.join(d, "w.fmx"), out],
+        ["tree", os.path.join(d, "in.cse"), out],
+        ["stats", os.path.join(d, "in.ngl")],
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_CASES)
+def test_cli_on_malformed_files_exits_0_1_or_2(case):
+    name, content = case
+    with tempfile.TemporaryDirectory() as d:
+        rng = np.random.default_rng(0)
+        net_path, wdir, _ = _tiny_network_files(Path(d), rng)
+        dump_fmx(FloatMatrix(rng.normal(size=(2, 2))), os.path.join(d, "w.fmx"))
+        path = os.path.join(wdir if name.startswith("layer") else d, name)
+        if name == "net.json" and isinstance(content, tuple):
+            obj = json.loads(Path(net_path).read_text())
+            idx, key, value = content
+            obj["layers"][idx][key] = value
+            content = json.dumps(obj)
+        Path(path).write_bytes(content if isinstance(content, bytes) else content.encode())
+        for argv in _commands(d):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as e:
+                    code = e.code
+            assert code in (0, 1, 2), (argv, err.getvalue())
+            if code == 2:
+                assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

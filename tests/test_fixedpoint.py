@@ -8,7 +8,6 @@ from ternroll.fixedpoint import (
     FixedPointFormat,
     FixedValue,
     SaturationCounter,
-    dequantize,
     quantize,
     round_half_away,
     shift_right_round,
@@ -40,7 +39,7 @@ def test_quantize_rounds_half_away():
     # 0.05 * 64 = 3.2 -> 3, representing 0.046875
     v = quantize(0.05, SCALE_FORMAT)
     assert v.raw == 3
-    assert dequantize(v) == pytest.approx(0.046875)
+    assert v.to_float() == pytest.approx(0.046875)
     # exact tie rounds away from zero in both directions
     assert quantize(0.0234375, SCALE_FORMAT).raw == 2  # 1.5 -> 2
     assert quantize(-0.0234375, SCALE_FORMAT).raw == -2
@@ -61,13 +60,13 @@ def test_quantize_rejects_nan():
 @given(st.integers(-(2**15), 2**15 - 1))
 def test_quantize_idempotent_on_representable(raw):
     v = FixedValue(raw, ACT_FORMAT)
-    assert quantize(dequantize(v), ACT_FORMAT).raw == raw
+    assert quantize(v.to_float(), ACT_FORMAT).raw == raw
 
 
 @given(st.floats(-2000.0, 2000.0, allow_nan=False))
 def test_quantize_error_bound(x):
     v = quantize(x, ACT_FORMAT)
-    assert abs(dequantize(v) - x) <= 2.0 ** (-ACT_FORMAT.frac_bits - 1)
+    assert abs(v.to_float() - x) <= 2.0 ** (-ACT_FORMAT.frac_bits - 1)
 
 
 def test_round_half_away():

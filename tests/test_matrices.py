@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternroll.matrices import (
     FloatMatrix,
@@ -68,6 +70,10 @@ def test_tmx_format_example():
         "tmx 2 2\n+0\n-x\n",
         "tmx 2 2\n+0\n-+\n+0\n",
         "tmx 0 2\n",
+        "tmx 1_0 1\n+\n",  # int() reads 10
+        "tmx 1 1_0\n+\n",
+        "tmx \u0661 1\n+\n",  # Arabic-Indic one
+        "tmx +1 1\n+\n",
     ],
 )
 def test_tmx_strict_errors(text):
@@ -83,11 +89,59 @@ def test_fmx_round_trip(rng):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "fmx 1 2\n0.5\n", "fmx 1 2\n0.5 x\n", "fmx 1 1\n0.5 0.5\n", "tmx 1 1\n0.5\n"],
+    [
+        "",
+        "fmx 1 2\n0.5\n",
+        "fmx 1 2\n0.5 x\n",
+        "fmx 1 1\n0.5 0.5\n",
+        "tmx 1 1\n0.5\n",
+        "fmx 1_0 1\n0.5\n",
+        "fmx 1 \u0661\n0.5\n",
+        *(f"fmx 1 2\n0.5 {v}\n" for v in ["1_0", "\u0663", "nan", "inf", "-Infinity", "0x10", "1e", "e5", ".", "--1", "1.5.2"]),
+    ],
 )
 def test_fmx_strict_errors(text):
     with pytest.raises(MatrixFormatError):
         parse_fmx(text)
+
+
+def test_fmx_value_grammar_accepts_signs_points_and_exponents():
+    m = parse_fmx("fmx 1 7\n-1 +2 3. .5 -0.25 1e3 +2.5E-1\n")
+    assert m.entries.tolist() == [[-1.0, 2.0, 3.0, 0.5, -0.25, 1000.0, 0.25]]
+
+
+# Text close to valid tmx and fmx files, or any text.
+HEAD = st.sampled_from(["tmx", "fmx", "tmx 1", "1 2", "2 1", "1_0 1", "\u0661 2", "0 2", "2 2 2"])
+TMX_ROW = st.text(alphabet="+-0x \u0661", max_size=3)
+FMX_ROW = st.lists(
+    st.sampled_from(["0.5", "-1e3", "+2", ".5", "7.", "1_0", "nan", "1e999", "\u0663", "0x1", "-"])
+    | st.floats().map(repr),
+    max_size=3,
+).map(" ".join)
+
+
+def _text(tag, rows):
+    return st.builds(lambda head, body: "\n".join([f"{tag} {head}", *body]), HEAD, st.lists(rows, max_size=3)) | st.text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_text("tmx", TMX_ROW))
+def test_parse_tmx_parses_or_raises_its_format_error(text):
+    try:
+        m = parse_tmx(text)
+    except MatrixFormatError:
+        return
+    assert np.array_equal(parse_tmx(format_tmx(m)).entries, m.entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_text("fmx", FMX_ROW))
+def test_parse_fmx_parses_or_raises_its_format_error(text):
+    try:
+        m = parse_fmx(text)
+    except MatrixFormatError:
+        return
+    assert np.array_equal(parse_fmx(format_fmx(m)).entries, m.entries)
 
 
 def test_matvec_exact(rng):

@@ -1,14 +1,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternroll.network import (
+    LAYER_KINDS,
     LayerSpec,
     NetworkFormatError,
     NetworkSpec,
     ScaleShiftParams,
     format_network,
     parse_network,
+    parse_scale_shift,
     vgg7_cifar10,
 )
 
@@ -137,9 +141,114 @@ def test_clock_must_be_finite_and_at_least_one_hz(clock):
     assert NetworkSpec(layers, 1.0).clock_hz == 1.0
 
 
-@pytest.mark.parametrize("clock", [None, "fast", [1e8]])
+@pytest.mark.parametrize("clock", [None, "fast", [1e8], True, "125e6"])
 def test_clock_must_be_a_number(clock):
     obj = small_net_obj()
     obj["clock_hz"] = clock
     with pytest.raises(NetworkFormatError, match="clock_hz"):
         parse_network(json.dumps(obj))
+
+
+def _with(edits: dict) -> str:
+    """The small network's JSON with (layer index or section, key) -> value edits."""
+    obj = small_net_obj()
+    obj["act_format"] = {"total_bits": 16, "frac_bits": 4}
+    obj["scale_format"] = {"total_bits": 16, "frac_bits": 6}
+    for (where, key), value in edits.items():
+        target = obj if where is None else obj["layers"][where] if isinstance(where, int) else obj[where]
+        if isinstance(target, dict):
+            target[key] = value
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (_with({("act_format", "frac_bits"): [1]}), "act_format.frac_bits"),
+        (_with({}).replace('"total_bits": 16', '"total_bits": 1e999'), "act_format.total_bits"),
+        (_with({(0, "in_width"): 4.5}), "layer 0: in_width"),
+        (_with({(5, "filters"): 2.5}), "layer 5: filters"),
+        (_with({("act_format", "total_bits"): 16.9, ("act_format", "frac_bits"): 4.2}), "act_format.total_bits"),
+        (_with({(0, "in_width"): True, (None, "clock_hz"): True}), "layer 0: in_width"),
+        (_with({(1, "epsilon"): True}), "layer 1: epsilon"),
+        (_with({(1, "epsilon"): "0.7"}), "layer 1: epsilon"),
+        (_with({(3, "stride"): False}), "layer 3: stride"),
+        ('{"layers": ' + "[" * 100000 + "]" * 100000 + "}", "nested too deeply"),
+    ],
+    ids=["list-frac", "1e999-total", "float-width", "float-filters", "float-format", "bool-width-clock",
+         "bool-epsilon", "string-epsilon", "bool-stride", "deep"],
+)
+def test_network_json_numbers_of_the_right_type(text, field):
+    with pytest.raises(NetworkFormatError, match=field):
+        parse_network(text)
+
+
+def test_scale_shift_json():
+    p = parse_scale_shift('{"c": [1, 0.5], "b": [-2, 0], "s": 2}')
+    assert (p.c, p.b, p.s) == ((1.0, 0.5), (-2.0, 0.0), 2.0)
+    assert parse_scale_shift('{"c": [1], "b": [0]}').s == 1.0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"c": ["1", "2"], "b": [0, 0]}', r"c\[0\]: expected a JSON number"),
+        ('{"c": [1, 1], "b": [0, true]}', r"b\[1\]: expected a JSON number"),
+        ('{"c": [1], "b": [0], "s": "2"}', "s: expected a JSON number"),
+        ('{"c": "12", "b": [0, 0]}', "must be lists"),
+        ('{"c": [1e999], "b": [0]}', "finite"),
+        ('{"c": [' + "9" * 400 + '], "b": [0]}', "finite"),
+        ('{"c": [1, 2], "b": [0]}', "length mismatch"),
+        ('{"c": [], "b": []}', "must not be empty"),
+    ],
+    ids=["string-c", "bool-b", "string-s", "string-body", "1e999", "big-int", "lengths", "empty"],
+)
+def test_scale_shift_json_errors(text, message):
+    with pytest.raises(NetworkFormatError, match=message):
+        parse_scale_shift(text)
+
+
+# JSON values of every type, some of them nearly right, put in place of
+# values of the small network; or any text.
+ANY = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 40)
+    | st.just(10**400)
+    | st.floats()
+    | st.sampled_from(["Conv", "ReLU", "1", ""])
+    | st.lists(st.integers(0, 3), max_size=2)
+)
+LAYER_KEYS = ("kind", "in_width", "in_channels", "kernel", "stride", "filters", "epsilon", "pixel_interval", "activation")
+EDIT = st.one_of(
+    st.tuples(st.integers(0, 5), st.sampled_from(LAYER_KEYS + ("bogus",)), ANY | st.sampled_from(LAYER_KINDS)),
+    st.tuples(st.sampled_from(["act_format", "scale_format"]), st.sampled_from(["total_bits", "frac_bits", "x"]), ANY),
+    st.tuples(st.none(), st.sampled_from(["clock_hz", "act_format", "layers", "bogus"]), ANY),
+)
+# top-level edits last, so that the layers and formats they replace are still there to edit
+NETWORK_TEXT = st.lists(EDIT, max_size=3).map(
+    lambda edits: _with({(w, k): v for w, k, v in sorted(edits, key=lambda e: e[0] is None)})
+) | st.text()
+SCALE_SHIFT_TEXT = (
+    st.fixed_dictionaries({}, optional={"c": st.lists(ANY, max_size=3) | ANY, "b": st.lists(ANY, max_size=3) | ANY, "s": ANY, "x": ANY})
+    .map(json.dumps)
+    | st.text()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=NETWORK_TEXT)
+def test_parse_network_parses_or_raises_its_format_error(text):
+    try:
+        parse_network(text)
+    except NetworkFormatError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=SCALE_SHIFT_TEXT)
+def test_parse_scale_shift_parses_or_raises_its_format_error(text):
+    try:
+        parse_scale_shift(text)
+    except NetworkFormatError:
+        pass

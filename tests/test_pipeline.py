@@ -1,7 +1,11 @@
 from fractions import Fraction
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternroll import (
     ImageStream,
@@ -456,6 +460,26 @@ def test_img_binary_round_trip(rng, tmp_path):
     assert np.array_equal(again.data, img.data)
 
 
+def test_img_binary_header_carries_the_raster_mark(rng):
+    img = ImageStream(rng.integers(-(2**15), 2**15, size=(2, 3, 1)), frac_bits=4)
+    blob = format_img(img, binary=True)
+    assert blob.startswith(b"img 3 2 1 4 le16\n") and len(blob) == len(b"img 3 2 1 4 le16\n") + 12
+    with pytest.raises(ImageFormatError, match="le16 raster needs 12 bytes, found 11"):
+        parse_img(blob[:-1])
+
+
+@pytest.mark.parametrize("body", [b"1_0\n", b"+5 \n"], ids=["underscore", "plus"])
+def test_img_text_body_of_raster_length_stays_text(body):
+    # 2 * W * H * D bytes, but no le16 mark: a bad text body, not a raster
+    with pytest.raises(ImageFormatError, match="bad sample"):
+        parse_img(b"img 2 1 1 4\n" + body)
+
+
+def test_img_raster_without_the_mark_is_rejected():
+    with pytest.raises(ImageFormatError):
+        parse_img(b"img 2 2 1 4\n" + struct.pack("<4h", 1000, -2, 300, -4))
+
+
 def test_img_text_payload_of_binary_length_reads_as_text():
     # "0 0 0 0\n" is exactly 2 * count bytes yet must parse as text samples
     img = parse_img(b"img 2 2 1 4\n0 0 0 0\n")
@@ -490,3 +514,24 @@ def test_img_text_samples_must_fit_16_bits():
 def test_img_text_samples_take_ascii_digits_and_a_leading_minus(sample):
     with pytest.raises(ImageFormatError, match="bad sample"):
         parse_img(b"img 3 1 1 4\n0 -7 " + sample + b"\n")
+
+
+# Header lines close to valid ones, and bodies of text samples or raw bytes;
+# or any bytes.
+IMG_HEAD = st.sampled_from(
+    [b"img 2 1 1 4", b"img 2 1 1 4 le16", b"img 1 1 1 0 le16", b"img 2 1 1", b"img 1_0 1 1 4", b"img 2 1 1 4 le32",
+     b"img 0 1 1 4", b"img 2 1 1 4 le16 le16", b"img \xd9\xa2 1 1 4"]
+)
+IMG_SAMPLE = st.sampled_from(["1", "-1", "0", "32767", "-32768", "32768", "1_0", "+5", "-", "\u0663", "\n"])
+IMG_BODY = st.binary(max_size=6) | st.lists(IMG_SAMPLE, max_size=4).map(lambda t: " ".join(t).encode())
+IMG_BLOB = st.builds(lambda head, body: head + b"\n" + body, IMG_HEAD, IMG_BODY) | st.binary()
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=IMG_BLOB)
+def test_parse_img_parses_or_raises_its_format_error(blob):
+    try:
+        img = parse_img(blob)
+    except ImageFormatError:
+        return
+    assert img.data.size and img.data.min() >= -(1 << 15) and img.data.max() < 1 << 15
