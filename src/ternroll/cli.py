@@ -90,7 +90,7 @@ _EVAL_BUDGET = 1 << 22
 
 def _prove_graph(m: TernaryMatrix, g) -> None:
     """The graph's outputs on every standard basis vector are ``m``'s columns."""
-    step = max(1, _EVAL_BUDGET // len(g.nodes))
+    step = max(1, _EVAL_BUDGET // len(g.kind))
     for lo in range(0, m.cols, step):
         hi = min(lo + step, m.cols)
         basis = np.eye(m.cols, hi - lo, -lo, dtype=np.int64)  # e_lo .. e_(hi-1)

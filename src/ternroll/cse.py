@@ -65,13 +65,21 @@ def _rows_of(signs: np.ndarray) -> list[dict[int, int]]:
     return [{int(c): int(row[c]) for c in np.flatnonzero(row)} for row in signs]
 
 
+def _expressions(signs: np.ndarray) -> tuple[Expression, ...]:
+    """Each row of a sign matrix as an Expression, from one ``np.nonzero`` pass."""
+    rows, cols = np.nonzero(signs)  # row-major, so each row's columns ascend
+    terms = list(zip(cols.tolist(), signs[rows, cols].tolist()))
+    ends = np.cumsum(np.count_nonzero(signs, axis=1)).tolist()
+    return tuple(Expression(tuple(terms[lo:hi])) for lo, hi in zip([0, *ends], ends))
+
+
 def _total_terms(rows_and_defs) -> int:
     return sum(len(r) for r in rows_and_defs)
 
 
 def no_cse(m: TernaryMatrix) -> CseResult:
     """Identity result: every row kept verbatim, no shared definitions."""
-    outputs = tuple(from_dict(row) for row in _rows_of(m.entries))
+    outputs = _expressions(m.entries)
     return CseResult(m.cols, (), outputs, CseStats(0, sum(len(o) for o in outputs)))
 
 
@@ -189,7 +197,7 @@ def td_cse(
         stale = np.flatnonzero(stale)
         best[stale] = keys[stale, :n].max(axis=(1, 2))
 
-    outputs = tuple(from_dict(row) for row in _rows_of(signs[:, :n]))
+    outputs = _expressions(signs[:, :n])
     total = _total_terms([d.terms for d in definitions]) + _total_terms([o.terms for o in outputs])
     return CseResult(m.cols, tuple(definitions), outputs, CseStats(len(definitions), total))
 

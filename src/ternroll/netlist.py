@@ -17,7 +17,12 @@ is topological by construction.
 
 from __future__ import annotations
 
-from .treegen import IN, KINDS, OUT, AdderGraph, GraphValidationError, Node, validate_graph
+from array import array
+from functools import lru_cache
+
+import numpy as np
+
+from .treegen import KINDS, AdderGraph, GraphValidationError, validate_graph
 
 
 class NetlistParseError(ValueError):
@@ -29,17 +34,30 @@ def emit(g: AdderGraph, name: str = "") -> str:
     validate_graph(g)
     label = name or g.name
     head = (
-        f"ngl inputs {len(g.inputs)} outputs {len(g.outputs)} nodes {len(g.nodes)} "
+        f"ngl inputs {len(g.inputs)} outputs {len(g.outputs)} nodes {len(g.kind)} "
         f"digits {g.digits} total {g.total_bits} aligned {1 if g.outputs_aligned else 0}"
     )
     if label:
         head += f" name {label}"
-    lines = [head]
-    width = g.digit_width
-    for n in g.nodes:
-        ops = "".join(f" {'+' if s > 0 else '-'}{op}" for op, s in n.operands)
-        lines.append(f"node {n.id} {n.kind} {n.stage} {width}{ops}")
-    return "\n".join(lines) + "\n"
+    # One %-format fills the whole body: each node's line template, then its
+    # id and stage and its operand ids, in node order.
+    n, m, start = len(g.kind), len(g.operand_node), g.operand_start
+    arity = np.diff(start)
+    owner = np.repeat(np.arange(n), arity)
+    negative = np.bincount(owner, (g.operand_sign < 0) << (np.arange(m) - start[owner]), minlength=n)
+    code = (g.kind.astype(np.int64) * 4 + arity) * 8 + negative.astype(np.int64)
+    values = np.insert(g.operand_node, np.repeat(start[:-1], 2), np.column_stack([np.arange(n), g.stage]).ravel())
+    return head + "".join(_line_templates(g.digit_width)[code].tolist()) % tuple(values.tolist()) + "\n"
+
+
+@lru_cache(maxsize=8)
+def _line_templates(width: int) -> np.ndarray:
+    """Node line templates, indexed by (kind * 4 + arity) * 8 + the bit mask
+    of the negative operands; validated arities are at most 3."""
+    return np.array([
+        f"\nnode %d {kind} %d {width}" + "".join(" -%d" if neg >> k & 1 else " +%d" for k in range(arity))
+        for kind in KINDS for arity in range(4) for neg in range(8)
+    ], dtype=object)
 
 
 def _fail(lineno: int, msg: str) -> NetlistParseError:
@@ -91,48 +109,44 @@ def parse(text: str) -> AdderGraph:
         raise _fail(1, f"illegal digit schedule {digits}/{total}")
     width = total // digits
 
-    nodes: list[Node] = []
-    inputs: list[int] = []
-    outputs: list[int] = []
+    kinds, stages, start, node, sign = array("b"), array("q"), array("q", [0]), array("q"), array("b")
     body = [(i + 2, l) for i, l in enumerate(lines[1:]) if l.strip()]
     if len(body) != n_nodes:
         raise NetlistParseError(f"header declares {n_nodes} nodes, found {len(body)}")
-    for lineno, line in body:
+    for nid, (lineno, line) in enumerate(body):
         parts = line.split()
         if parts[0] != "node" or len(parts) < 5:
             raise _fail(lineno, "expected 'node <id> <kind> <stage> <width> ...'")
-        nid = _int(parts[1], lineno, "node id")
-        if nid != len(nodes):
-            raise _fail(lineno, f"node ids must be consecutive, expected {len(nodes)} got {nid}")
-        kind = parts[2]
-        if kind not in KINDS:
-            raise _fail(lineno, f"unknown node kind {kind!r}")
+        got = _int(parts[1], lineno, "node id")
+        if got != nid:
+            raise _fail(lineno, f"node ids must be consecutive, expected {nid} got {got}")
+        if parts[2] not in KINDS:
+            raise _fail(lineno, f"unknown node kind {parts[2]!r}")
         stage = _int(parts[3], lineno, "stage")
+        if stage >= 1 << 63:  # held as int64
+            raise _fail(lineno, f"stage {stage} is out of range")
         w = _int(parts[4], lineno, "digit width")
         if w != width:
             raise _fail(lineno, f"digit width {w} does not match schedule width {width}")
-        operands = []
         for col, tok in enumerate(parts[5:], start=6):
             if tok[0] not in "+-" or not _ascii_digits(tok[1:]):
                 raise _fail(lineno, f"field {col}: bad signed operand {tok!r}")
             ref = int(tok[1:])
             if ref >= nid:
                 raise _fail(lineno, f"field {col}: dangling reference to node {ref}")
-            operands.append((ref, 1 if tok[0] == "+" else -1))
-        nodes.append(Node(nid, kind, stage, tuple(operands)))
-        if kind == IN:
-            inputs.append(nid)
-        elif kind == OUT:
-            outputs.append(nid)
-    if len(inputs) != n_in:
-        raise NetlistParseError(f"header declares {n_in} inputs, found {len(inputs)}")
-    if len(outputs) != n_out:
-        raise NetlistParseError(f"header declares {n_out} outputs, found {len(outputs)}")
+            node.append(ref)
+            sign.append(1 if tok[0] == "+" else -1)
+        kinds.append(KINDS.index(parts[2]))
+        stages.append(stage)
+        start.append(len(node))
     g = AdderGraph(
-        tuple(nodes), tuple(inputs), tuple(outputs),
-        digits=digits, total_bits=total, outputs_aligned=aligned,
+        kinds, stages, start, node, sign, digits=digits, total_bits=total, outputs_aligned=aligned,
         name=fields.get("name", ""),
     )
+    if len(g.inputs) != n_in:
+        raise NetlistParseError(f"header declares {n_in} inputs, found {len(g.inputs)}")
+    if len(g.outputs) != n_out:
+        raise NetlistParseError(f"header declares {n_out} outputs, found {len(g.outputs)}")
     try:
         validate_graph(g)
     except GraphValidationError as e:

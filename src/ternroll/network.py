@@ -168,6 +168,7 @@ _FORMAT_KEYS = {"total_bits", "frac_bits"}
 _LAYER_KEYS = {f.name for f in fields(LayerSpec)}
 _LAYER_INTS = ("in_width", "in_channels", "kernel", "stride", "filters", "pixel_interval")
 _TOP_KEYS = {"layers", "clock_hz", "act_format", "scale_format"}
+INT_LIMIT = 1 << 20  # the largest integer a network file may give
 
 
 def _json(text: str):
@@ -180,9 +181,11 @@ def _json(text: str):
 
 
 def _integer(value, where: str) -> int:
-    """A JSON integer; true and false are not integers."""
+    """A JSON integer of at most ``INT_LIMIT``; true and false are not integers."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise NetworkFormatError(f"{where}: expected a JSON integer, got {value!r}")
+    if value > INT_LIMIT:
+        raise NetworkFormatError(f"{where}: must be at most {INT_LIMIT}")
     return value
 
 

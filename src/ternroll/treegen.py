@@ -11,52 +11,72 @@ distinct node kind.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .cse import CseResult
 
-IN, ADD, DELAY, OUT = "in", "add", "delay", "out"
-KINDS = (IN, ADD, DELAY, OUT)
+IN, ADD, DELAY, OUT = range(4)  # node kind codes, indices into KINDS
+KINDS = ("in", "add", "delay", "out")
+_ARRAYS = dict(kind=np.int8, stage=np.int64, operand_start=np.int64, operand_node=np.int64, operand_sign=np.int8)
 
 
 class GraphValidationError(RuntimeError):
     """An adder graph violates its structural invariants."""
 
 
-@dataclass(frozen=True)
-class Node:
-    id: int
-    kind: str
-    stage: int
-    operands: tuple[tuple[int, int], ...]  # (node id, sign)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdderGraph:
     """Acyclic add/delay pipeline with stage-aligned operands.
 
-    ``digits`` is the serial schedule: 1 means fully parallel words, D > 1
-    means each sample is processed as D digits of ``digit_width`` bits.
-    Evaluation semantics are independent of the schedule.
+    Node ``i`` has kind code ``kind[i]`` (an index into ``KINDS``), pipeline
+    stage ``stage[i]`` and the signed operands ``operand_node[j]``,
+    ``operand_sign[j]`` for ``j`` in ``operand_start[i]:operand_start[i + 1]``.
+    The arrays are read-only. The inputs and outputs are the ``IN`` and
+    ``OUT`` nodes in id order. ``digits`` is the serial schedule: 1 means
+    fully parallel words, D > 1 means each sample is processed as D digits of
+    ``digit_width`` bits. Evaluation semantics are independent of the schedule.
     """
 
-    nodes: tuple[Node, ...]
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
+    kind: np.ndarray = ()
+    stage: np.ndarray = ()
+    operand_start: np.ndarray = (0,)
+    operand_node: np.ndarray = ()
+    operand_sign: np.ndarray = ()
     digits: int = 1
     total_bits: int = 16
     outputs_aligned: bool = True
     name: str = ""
 
+    def __post_init__(self) -> None:
+        for field, dtype in _ARRAYS.items():
+            a = np.array(getattr(self, field), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, field, a)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AdderGraph):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
     @property
     def digit_width(self) -> int:
         return self.total_bits // self.digits
 
-    def node(self, nid: int) -> Node:
-        return self.nodes[nid]
+    @property
+    def nodes(self) -> range:
+        """The node ids; a node's fields are read from the arrays."""
+        return range(len(self.kind))
+
+    @property
+    def inputs(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.kind == IN).tolist())
+
+    @property
+    def outputs(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.kind == OUT).tolist())
 
 
 @dataclass(frozen=True)
@@ -68,54 +88,63 @@ class CostReport:
 
 
 class _Builder:
+    """Appends nodes to flat arrays; shares one delay chain per source node."""
+
     def __init__(self) -> None:
-        self.nodes: list[Node] = []
+        self.kind, self.stage = array("b"), array("q")
+        self.start, self.node, self.sign = array("q", [0]), array("q"), array("b")
         self._delay_of: dict[int, int] = {}  # source node id -> its delay node id
 
-    def new(self, kind: str, stage: int, operands: tuple[tuple[int, int], ...]) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(Node(nid, kind, stage, operands))
-        return nid
-
-    def stage(self, nid: int) -> int:
-        return self.nodes[nid].stage
-
-    def delay1(self, nid: int) -> int:
-        got = self._delay_of.get(nid)
-        if got is None:
-            got = self.new(DELAY, self.stage(nid) + 1, ((nid, 1),))
-            self._delay_of[nid] = got
-        return got
+    def new(self, kind: int, stage: int, nodes=(), signs=()) -> int:
+        self.kind.append(kind)
+        self.stage.append(stage)
+        self.node.extend(nodes)
+        self.sign.extend(signs)
+        self.start.append(len(self.node))
+        return len(self.kind) - 1
 
     def delayed(self, nid: int, target_stage: int) -> int:
-        while self.stage(nid) < target_stage:
-            nid = self.delay1(nid)
+        while self.stage[nid] < target_stage:
+            got = self._delay_of.get(nid)
+            if got is None:
+                got = self._delay_of[nid] = self.new(DELAY, self.stage[nid] + 1, (nid,), (1,))
+            nid = got
         return nid
 
 
-def _pack(b: _Builder, items: list[tuple[int, int]], arity: int) -> tuple[int, int]:
-    """Reduce (node, sign) items to a single root; returns (node, sign).
+def _pack(b: _Builder, nids: list[int], signs: list[int], arity: int) -> tuple[int, int]:
+    """Reduce signed nodes to a single root; returns (node, sign).
 
     Earliest-ready values are combined first (canonical term order breaks
     stage ties), so values that become ready together merge without padding
     and a deep shared definition joins the tree near its own stage instead of
-    dragging a delay chain behind every shallow term.
+    dragging a delay chain behind every shallow term. Each add is at least as
+    deep as the last, so the adds form a second stage-ordered queue beside
+    the terms; at equal stages a term is taken first.
     """
-    if len(items) == 1:
-        return items[0]
-    heap: list[tuple[int, int, int, int]] = [
-        (b.stage(nid), k, nid, sg) for k, (nid, sg) in enumerate(items)
-    ]
-    heapq.heapify(heap)
-    order = len(items)
-    while len(heap) > 1:
-        group = [heapq.heappop(heap) for _ in range(min(arity, len(heap)))]
-        smax = group[-1][0]
-        ops = tuple((b.delayed(nid, smax), sg) for _, _, nid, sg in group)
-        heapq.heappush(heap, (smax + 1, order, b.new(ADD, smax + 1, ops), 1))
-        order += 1
-    _, _, nid, sg = heap[0]
-    return nid, sg
+    stage = b.stage
+    order = sorted(range(len(nids)), key=lambda k: stage[nids[k]])  # stable
+    qn, qs = [nids[k] for k in order], [signs[k] for k in order]
+    n = len(qn)
+    made: list[int] = []
+    i = j = 0
+    for left in range(n, 1, 1 - arity):
+        ops, sgs = [], []
+        for _ in range(arity if left >= arity else left):
+            if j < len(made) and (i == n or stage[made[j]] < stage[qn[i]]):
+                ops.append(made[j])
+                sgs.append(1)
+                j += 1
+            else:
+                ops.append(qn[i])
+                sgs.append(qs[i])
+                i += 1
+        smax = stage[ops[-1]]
+        for k in range(len(ops) - 1):
+            if stage[ops[k]] < smax:
+                ops[k] = b.delayed(ops[k], smax)
+        made.append(b.new(ADD, smax + 1, ops, sgs))
+    return (qn[i], qs[i]) if j == len(made) else (made[j], 1)
 
 
 def build_tree(
@@ -135,91 +164,85 @@ def build_tree(
     if arity not in (2, 3):
         raise ValueError(f"adder arity must be 2 or 3, got {arity}")
     b = _Builder()
-    env: dict[int, tuple[int, int]] = {}
-    for i in range(result.n_inputs):
-        env[i] = (b.new(IN, 0, ()), 1)
+    env = {i: (b.new(IN, 0), 1) for i in range(result.n_inputs)}  # variable -> (node, sign)
+
+    def pack(terms) -> tuple[int, int]:
+        return _pack(b, [env[v][0] for v, _ in terms], [s * env[v][1] for v, s in terms], arity)
+
     for d in result.definitions:
-        items = [(env[v][0], s * env[v][1]) for v, s in d.terms]
         assert d.id is not None
-        env[d.id] = _pack(b, items, arity)
-    roots: list[tuple[int, int] | None] = []
-    for e in result.outputs:
-        if not e.terms:
-            roots.append(None)
-            continue
-        items = [(env[v][0], s * env[v][1]) for v, s in e.terms]
-        roots.append(_pack(b, items, arity))
-    out_ids = []
-    if align_outputs:
-        target = max((b.stage(r[0]) for r in roots if r is not None), default=0)
-        for r in roots:
-            if r is None:
-                out_ids.append(b.new(OUT, target, ()))
-            else:
-                nid, sg = r
-                out_ids.append(b.new(OUT, target, ((b.delayed(nid, target), sg),)))
-    else:
-        for r in roots:
-            if r is None:
-                out_ids.append(b.new(OUT, 0, ()))
-            else:
-                nid, sg = r
-                out_ids.append(b.new(OUT, b.stage(nid), ((nid, sg),)))
-    inputs = tuple(env[i][0] for i in range(result.n_inputs))
-    g = AdderGraph(
-        tuple(b.nodes), inputs, tuple(out_ids),
-        outputs_aligned=align_outputs, total_bits=total_bits, name=name,
-    )
+        env[d.id] = pack(d.terms)
+    roots = [pack(e.terms) if e.terms else None for e in result.outputs]
+    target = max((b.stage[r[0]] for r in roots if r is not None), default=0) if align_outputs else 0
+    for r in roots:
+        if r is None:
+            b.new(OUT, target)
+        else:
+            nid = b.delayed(r[0], target) if align_outputs else r[0]
+            b.new(OUT, b.stage[nid], (nid,), (r[1],))
+    g = AdderGraph(b.kind, b.stage, b.start, b.node, b.sign,
+                   outputs_aligned=align_outputs, total_bits=total_bits, name=name)
     validate_graph(g)
     return g
 
 
 def validate_graph(g: AdderGraph) -> None:
-    """Check ids, arities, stage alignment and output alignment."""
-    for nid, n in enumerate(g.nodes):
-        if n.id != nid:
-            raise GraphValidationError(f"node {nid} carries id {n.id}")
-        for op, sign in n.operands:
-            if not (0 <= op < nid):
-                raise GraphValidationError(f"node {nid}: operand {op} is not an earlier node")
-            if sign not in (-1, 1):
-                raise GraphValidationError(f"node {nid}: operand sign {sign}")
-        if n.kind == IN:
-            if n.operands or n.stage != 0:
-                raise GraphValidationError(f"input node {nid} must be bare at stage 0")
-        elif n.kind == ADD:
-            if not (2 <= len(n.operands) <= 3):
-                raise GraphValidationError(f"add node {nid} has arity {len(n.operands)}")
-            for op, _ in n.operands:
-                if g.nodes[op].stage != n.stage - 1:
-                    raise GraphValidationError(
-                        f"add node {nid} at stage {n.stage} reads node {op} "
-                        f"at stage {g.nodes[op].stage}"
-                    )
-        elif n.kind == DELAY:
-            if len(n.operands) != 1:
-                raise GraphValidationError(f"delay node {nid} needs exactly one operand")
-            if g.nodes[n.operands[0][0]].stage != n.stage - 1:
-                raise GraphValidationError(f"delay node {nid} skips stages")
-        elif n.kind == OUT:
-            if len(n.operands) > 1:
-                raise GraphValidationError(f"output node {nid} has {len(n.operands)} operands")
-            if n.operands and g.outputs_aligned and g.nodes[n.operands[0][0]].stage != n.stage:
-                raise GraphValidationError(f"output node {nid} is not stage-aligned")
-        else:
-            raise GraphValidationError(f"node {nid} has unknown kind {n.kind!r}")
-    if g.outputs_aligned and g.outputs:
-        stages = {g.nodes[o].stage for o in g.outputs}
-        if len(stages) > 1:
-            raise GraphValidationError(f"output stages differ: {sorted(stages)}")
-    if g.total_bits % g.digits:
+    """Check shapes, operands, arities and stages; name the lowest bad node's first failed check."""
+    kind, stage, start, node, sign = g.kind, g.stage, g.operand_start, g.operand_node, g.operand_sign
+    n = len(kind)
+    if (any(a.ndim != 1 for a in (kind, stage, start, node, sign)) or len(stage) != n or len(start) != n + 1
+            or start[0] != 0 or (np.diff(start) < 0).any() or not len(node) == len(sign) == start[-1]):
+        raise GraphValidationError("node arrays have inconsistent lengths")
+    arity = np.diff(start)
+    owner = np.repeat(np.arange(n), arity)
+    bad_op = (node < 0) | (node >= owner) | (np.abs(sign) != 1)
+    lag = stage[owner] - stage[np.where(bad_op, 0, node)]  # an operand's stage below its node's
+    bad_lag = np.bincount(owner[lag != (kind[owner] != OUT)], minlength=n) > 0
+    bad = (
+        (np.bincount(owner[bad_op], minlength=n) > 0)
+        | (kind == IN) & ((arity > 0) | (stage != 0))
+        | (kind == ADD) & ((arity < 2) | (arity > 3) | bad_lag)
+        | (kind == DELAY) & ((arity != 1) | bad_lag)
+        | (kind == OUT) & ((arity > 1) | g.outputs_aligned & bad_lag)
+        | (kind < IN) | (kind > OUT)
+    )
+    if bad.any():
+        raise GraphValidationError(_node_error(g, int(np.argmax(bad))))
+    stages = np.unique(stage[kind == OUT]).tolist()
+    if g.outputs_aligned and len(stages) > 1:
+        raise GraphValidationError(f"output stages differ: {stages}")
+    if g.digits < 1 or g.total_bits % g.digits:
         raise GraphValidationError(f"{g.digits} digits do not divide {g.total_bits} bits")
 
 
+def _node_error(g: AdderGraph, nid: int) -> str:
+    """The message of the first failing check of the bad node ``nid``."""
+    lo, hi = g.operand_start[nid : nid + 2].tolist()
+    ops = list(zip(g.operand_node[lo:hi].tolist(), g.operand_sign[lo:hi].tolist()))
+    for op, sign in ops:
+        if not (0 <= op < nid):
+            return f"node {nid}: operand {op} is not an earlier node"
+        if sign not in (-1, 1):
+            return f"node {nid}: operand sign {sign}"
+    kind, stage, k = int(g.kind[nid]), int(g.stage[nid]), len(ops)
+    if kind == IN:
+        return f"input node {nid} must be bare at stage 0"
+    if kind == ADD and 2 <= k <= 3:
+        op = next(op for op, _ in ops if g.stage[op] != stage - 1)
+        return f"add node {nid} at stage {stage} reads node {op} at stage {g.stage[op]}"
+    if kind == ADD:
+        return f"add node {nid} has arity {k}"
+    if kind == DELAY:
+        return f"delay node {nid} skips stages" if k == 1 else f"delay node {nid} needs exactly one operand"
+    if kind == OUT:
+        return f"output node {nid} is not stage-aligned" if k <= 1 else f"output node {nid} has {k} operands"
+    return f"node {nid} has unknown kind {kind!r}"
+
+
 def cost(g: AdderGraph) -> CostReport:
-    adders = sum(1 for n in g.nodes if n.kind == ADD)
-    regs = sum(1 for n in g.nodes if n.kind == DELAY)
-    depth = max((n.stage for n in g.nodes), default=0)
+    adders = int(np.count_nonzero(g.kind == ADD))
+    regs = int(np.count_nonzero(g.kind == DELAY))
+    depth = int(g.stage.max(initial=0))
     return CostReport(adders, regs, adders + regs, depth)
 
 
@@ -252,27 +275,22 @@ def evaluate_batch(g: AdderGraph, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
     if xs.shape[0] != len(g.inputs):
         raise ValueError(f"expected {len(g.inputs)} inputs, got {xs.shape[0]}")
-    vals = np.zeros((len(g.nodes), xs.shape[1]), dtype=np.int64)
-    for pos, nid in enumerate(g.inputs):
-        vals[nid] = xs[pos]
-    for n in g.nodes:
-        if n.kind == IN or not n.operands:
-            continue
-        acc = vals[n.id]
-        for op, sg in n.operands:
-            if sg == 1:
-                acc += vals[op]
+    vals = np.zeros((len(g.kind), xs.shape[1]), dtype=np.int64)
+    vals[list(g.inputs)] = xs
+    start, node, sign = g.operand_start.tolist(), g.operand_node.tolist(), g.operand_sign.tolist()
+    for nid in g.nodes:  # an input has no operands
+        acc = vals[nid]
+        for j in range(start[nid], start[nid + 1]):
+            if sign[j] == 1:
+                acc += vals[node[j]]
             else:
-                acc -= vals[op]
+                acc -= vals[node[j]]
     return vals[list(g.outputs)]
 
 
 def evaluate(g: AdderGraph, inputs) -> list[int]:
-    """Exact signed evaluation of the graph on one input vector.
-
-    Arithmetic is unbounded Python/NumPy int64 internally, wide enough that
-    no intermediate overflows for 16-bit inputs and thousands of terms.
-    """
+    """Exact signed evaluation on one input vector, in int64: wide enough that
+    no intermediate overflows for 16-bit inputs and thousands of terms."""
     xs = np.asarray(list(inputs), dtype=np.int64).reshape(-1, 1)
     return [int(v) for v in evaluate_batch(g, xs)[:, 0]]
 
@@ -314,16 +332,12 @@ def serial_sum(addends: list[tuple[int, int]], digits: int, total_bits: int = 16
 
 def evaluate_serial(g: AdderGraph, inputs) -> list[int]:
     """Evaluate through digit-serial adders, modulo 2**total_bits per node."""
-    vals: dict[int, int] = {}
+    vals = [0] * len(g.kind)
     for pos, nid in enumerate(g.inputs):
         vals[nid] = serial_sum([(int(inputs[pos]), 1)], g.digits, g.total_bits)
-    for n in g.nodes:
-        if n.kind == IN:
-            continue
-        if not n.operands:
-            vals[n.id] = 0
-            continue
-        vals[n.id] = serial_sum(
-            [(vals[op], sg) for op, sg in n.operands], g.digits, g.total_bits
-        )
+    start, node, sign = g.operand_start.tolist(), g.operand_node.tolist(), g.operand_sign.tolist()
+    for nid in g.nodes:
+        if start[nid] < start[nid + 1]:  # not an input, not an empty output
+            ops = range(start[nid], start[nid + 1])
+            vals[nid] = serial_sum([(vals[node[j]], sign[j]) for j in ops], g.digits, g.total_bits)
     return [vals[o] for o in g.outputs]

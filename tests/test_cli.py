@@ -127,10 +127,9 @@ def test_wrong_adder_graph_fails_the_proof(tmp_path, m7x6_file, capsys, monkeypa
 
     def negate_first_output(*args):
         g = real(*args)
-        nodes = list(g.nodes)
-        ((ref, s),) = nodes[g.outputs[0]].operands
-        nodes[g.outputs[0]] = dataclasses.replace(nodes[g.outputs[0]], operands=((ref, -s),))
-        return dataclasses.replace(g, nodes=tuple(nodes))
+        sign = g.operand_sign.copy()
+        sign[g.operand_start[g.outputs[0]]] *= -1
+        return dataclasses.replace(g, operand_sign=sign)
 
     monkeypatch.setattr(cli, "_build_graph", negate_first_output)
     assert main(["emit", "--method", "bu", m7x6_file, str(tmp_path / "out.ngl")]) == 3
@@ -400,6 +399,19 @@ def test_network_json_number_of_the_wrong_type_exits_2(tmp_path, capsys, text, c
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "expected a JSON integer" in err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("in_width", 10**400), ("in_channels", 10**12)], ids=["401-digit-width", "1e12-channels"]
+)
+def test_network_json_integer_above_the_limit_exits_2(tmp_path, capsys, key, value):
+    layers = [{"kind": "Fifo", "in_width": 4, "in_channels": 1}, {"kind": "Mux", "in_width": 4, "in_channels": 1}]
+    for layer in layers:
+        layer[key] = value
+    path = tmp_path / "net.json"
+    path.write_text(_net_text(layers=layers))
+    assert main(["report-throughput", str(path)]) == 2
+    assert capsys.readouterr().err == f"ternroll: layer 0: {key}: must be at most 1048576\n"
 
 
 # In-process runs of each command over the tiny network's files, one of

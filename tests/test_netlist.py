@@ -14,14 +14,14 @@ from ternroll import (
 )
 from ternroll.matrices import random_ternary
 from ternroll.netlist import NetlistParseError, emit, parse
-from ternroll.treegen import GraphValidationError
+from ternroll.treegen import ADD, IN, GraphValidationError
 
 
 def test_empty_graph_header_only():
-    text = emit(AdderGraph((), (), ()))
+    text = emit(AdderGraph())
     assert text == "ngl inputs 0 outputs 0 nodes 0 digits 1 total 16 aligned 1\n"
     g = parse(text)
-    assert g.nodes == ()
+    assert len(g.kind) == len(g.nodes) == 0
 
 
 def test_filter_tree_netlist_reconstructs_row(filter_matrix):
@@ -53,17 +53,9 @@ def test_emit_deterministic(m7x6):
 
 
 def test_emit_rejects_invalid_graph():
-    from ternroll.treegen import Node
-
-    bad = AdderGraph(
-        (
-            Node(0, "in", 0, ()),
-            Node(1, "add", 2, ((0, 1), (0, -1))),
-        ),
-        (0,),
-        (),
-    )
-    with pytest.raises(GraphValidationError):
+    # node 0 is an input, node 1 an add at stage 2 of +node0 -node0
+    bad = AdderGraph([IN, ADD], [0, 2], [0, 0, 2], [0, 0], [1, -1])
+    with pytest.raises(GraphValidationError, match="add node 1 at stage 2 reads node 0 at stage 0"):
         emit(bad)
 
 
@@ -102,6 +94,13 @@ def test_parse_reports_an_invalid_graph_as_a_parse_error():
     # the add at stage 5 reads two stage-0 inputs
     with pytest.raises(NetlistParseError, match="add node 2 at stage 5 reads node 0 at stage 0"):
         parse(TWO_INPUT_ADD.replace("add 1", "add 5").replace("out 1", "out 5"))
+
+
+def test_parse_rejects_a_stage_beyond_int64():
+    text = "ngl inputs 0 outputs 1 nodes 1 digits 1 total 16 aligned 0\nnode 0 out 9223372036854775808 16\n"
+    with pytest.raises(NetlistParseError, match="line 2: stage 9223372036854775808 is out of range"):
+        parse(text)
+    assert parse(text.replace("808", "807")).stage.tolist() == [(1 << 63) - 1]
 
 
 @pytest.mark.parametrize(

@@ -174,9 +174,12 @@ def _with(edits: dict) -> str:
         (_with({(1, "epsilon"): "0.7"}), "layer 1: epsilon"),
         (_with({(3, "stride"): False}), "layer 3: stride"),
         ('{"layers": ' + "[" * 100000 + "]" * 100000 + "}", "nested too deeply"),
+        (_with({(0, "in_width"): 10**400}), "layer 0: in_width: must be at most 1048576"),
+        (_with({(0, "in_channels"): 10**12}), "layer 0: in_channels: must be at most 1048576"),
+        (_with({(5, "pixel_interval"): (1 << 20) + 1}), "layer 5: pixel_interval: must be at most 1048576"),
     ],
     ids=["list-frac", "1e999-total", "float-width", "float-filters", "float-format", "bool-width-clock",
-         "bool-epsilon", "string-epsilon", "bool-stride", "deep"],
+         "bool-epsilon", "string-epsilon", "bool-stride", "deep", "huge-width", "huge-channels", "huge-interval"],
 )
 def test_network_json_numbers_of_the_right_type(text, field):
     with pytest.raises(NetworkFormatError, match=field):

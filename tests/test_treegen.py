@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternroll import (
     AdderGraph,
@@ -19,11 +21,12 @@ from ternroll import (
 from ternroll.matrices import random_ternary
 from ternroll.treegen import (
     ADD,
-    DELAY,
+    KINDS,
     GraphValidationError,
-    Node,
     area_slice_estimate,
 )
+
+from . import graph_ref
 
 
 def test_filter_tree_structure(filter_matrix):
@@ -59,19 +62,16 @@ def test_two_output_shared_subexpression_as_drawn(two_output_matrix):
 
 def test_alignment_invariant_and_validator(two_output_matrix):
     g = build_tree(td_cse(two_output_matrix), 2, align_outputs=True)
-    stages = {g.node(o).stage for o in g.outputs}
-    assert len(stages) == 1
-    for n in g.nodes:
-        if n.kind == ADD:
-            assert all(g.node(op).stage == n.stage - 1 for op, _ in n.operands)
+    assert len(set(g.stage[list(g.outputs)].tolist())) == 1
+    start = g.operand_start
+    for nid in np.flatnonzero(g.kind == ADD):
+        assert (g.stage[g.operand_node[start[nid] : start[nid + 1]]] == g.stage[nid] - 1).all()
     # a hand-corrupted stage is rejected
-    bad_nodes = list(g.nodes)
-    for k, n in enumerate(bad_nodes):
-        if n.kind == ADD:
-            bad_nodes[k] = Node(n.id, n.kind, n.stage + 1, n.operands)
-            break
-    bad = AdderGraph(tuple(bad_nodes), g.inputs, g.outputs)
-    with pytest.raises(GraphValidationError):
+    first_add = int(np.flatnonzero(g.kind == ADD)[0])
+    stage = g.stage.copy()
+    stage[first_add] += 1
+    bad = AdderGraph(g.kind, stage, g.operand_start, g.operand_node, g.operand_sign)
+    with pytest.raises(GraphValidationError, match=f"add node {first_add} at stage"):
         validate_graph(bad)
 
 
@@ -93,13 +93,8 @@ def test_arity_validation(m7x6):
 
 
 def test_empty_graph_cost():
-    g = AdderGraph((), (), ())
-    assert cost(g) == (0, 0, 0, 0) or (
-        cost(g).adders == 0
-        and cost(g).registers == 0
-        and cost(g).adds_plus_regs == 0
-        and cost(g).depth == 0
-    )
+    c = cost(AdderGraph())
+    assert (c.adders, c.registers, c.adds_plus_regs, c.depth) == (0, 0, 0, 0)
 
 
 def test_m7x6_evaluate_ones(m7x6):
@@ -141,17 +136,14 @@ def test_shared_definition_fanout_built_once(two_output_matrix):
     r = td_cse(two_output_matrix)
     g = build_tree(r, 2, align_outputs=False)
     # e + f is one add node consumed by both output trees
+    start, node = g.operand_start, g.operand_node
     ef_adds = [
-        n
-        for n in g.nodes
-        if n.kind == ADD
-        and {op for op, _ in n.operands} == {g.inputs[4], g.inputs[5]}
+        nid
+        for nid in np.flatnonzero(g.kind == ADD)
+        if set(node[start[nid] : start[nid + 1]].tolist()) == {g.inputs[4], g.inputs[5]}
     ]
     assert len(ef_adds) == 1
-    consumers = [
-        n for n in g.nodes if any(op == ef_adds[0].id for op, _ in n.operands)
-    ]
-    assert len(consumers) == 2
+    assert np.count_nonzero(node == ef_adds[0]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +151,7 @@ def test_shared_definition_fanout_built_once(two_output_matrix):
 
 
 def test_schedule_parallel():
-    g = schedule_serial(AdderGraph((), (), ()), 1)
+    g = schedule_serial(AdderGraph(), 1)
     assert g.digits == 1
     assert g.digit_width == 16
 
@@ -237,3 +229,83 @@ def test_no_intermediate_overflow_wide_row():
     m = TernaryMatrix(np.ones((1, 2304), dtype=np.int8))
     g = build_tree(no_cse(m), 2)
     assert evaluate(g, [32767] * 2304) == [32767 * 2304]
+
+
+# ---------------------------------------------------------------------------
+# Validation against the independent per-node reference
+
+
+@st.composite
+def mutated_graphs(draw):
+    """A small valid graph as plain lists, with one to three mutations."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    entries = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=rows * cols, max_size=rows * cols))
+    m = TernaryMatrix(np.array(entries, dtype=np.int8).reshape(rows, cols))
+    method = draw(st.sampled_from([no_cse, td_cse, bu_cse]))
+    aligned = draw(st.booleans())
+    g = build_tree(method(m), draw(st.sampled_from([2, 3])), align_outputs=aligned)
+    kinds = [KINDS[k] for k in g.kind.tolist()]
+    stages = g.stage.tolist()
+    start = g.operand_start.tolist()
+    node, sign = g.operand_node.tolist(), g.operand_sign.tolist()
+    operands = [list(zip(node[a:b], sign[a:b])) for a, b in zip(start, start[1:])]
+    n = len(kinds)
+    nid = draw(st.integers(0, n - 1))
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):  # else mutate the same node again
+            nid = draw(st.integers(0, n - 1))
+        ops = operands[nid]
+        what = draw(st.sampled_from(["stage", "retarget", "sign", "add", "drop", "kind"]))
+        if what == "stage":
+            stages[nid] += draw(st.sampled_from([-1, 1]))
+        elif what == "kind":
+            kinds[nid] = draw(st.sampled_from(KINDS))
+        elif what == "add":
+            op = (draw(st.integers(-1, n)), draw(st.sampled_from([-1, 1, 0, 2])))
+            ops.insert(draw(st.integers(0, len(ops))), op)
+        elif ops:
+            j = draw(st.integers(0, len(ops) - 1))
+            if what == "retarget":
+                ops[j] = (draw(st.integers(-1, n)), ops[j][1])
+            elif what == "sign":
+                ops[j] = (ops[j][0], draw(st.sampled_from([0, 2])))
+            else:
+                del ops[j]
+    return kinds, stages, operands, aligned
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [([0], [0], [0, 5], [], []), ([0], [0, 1], [0, 0], [], []), ([0, 1], [0, 1], [0, 0, 2], [0, 0], [1])],
+    ids=["operands-past-the-end", "stage-per-node", "sign-per-operand"],
+)
+def test_validate_graph_rejects_inconsistent_arrays(arrays):
+    with pytest.raises(GraphValidationError, match="node arrays have inconsistent lengths"):
+        validate_graph(AdderGraph(*arrays))
+
+
+@pytest.mark.parametrize("digits", [0, -4, 3])
+def test_validate_graph_rejects_an_illegal_digit_count(digits):
+    with pytest.raises(GraphValidationError, match=f"^{digits} digits do not divide 16 bits$"):
+        validate_graph(AdderGraph(digits=digits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_graphs())
+def test_validate_graph_agrees_with_the_reference(case):
+    kinds, stages, operands, aligned = case
+    g = AdderGraph(
+        [KINDS.index(k) for k in kinds],
+        stages,
+        np.cumsum([0] + [len(ops) for ops in operands]),
+        [op for ops in operands for op, _ in ops],
+        [sign for ops in operands for _, sign in ops],
+        outputs_aligned=aligned,
+    )
+    want = graph_ref.validation_error(kinds, stages, operands, aligned)
+    if want is None:
+        validate_graph(g)
+    else:
+        with pytest.raises(GraphValidationError) as e:
+            validate_graph(g)
+        assert str(e.value) == want
