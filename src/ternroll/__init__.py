@@ -11,7 +11,7 @@ from .cse import (
     no_cse,
     td_cse,
 )
-from .expressions import Expression, expression
+from .expressions import Expression
 from .fixedpoint import (
     ACT_FORMAT,
     SCALE_FORMAT,
@@ -81,7 +81,6 @@ __all__ = [
     "evaluate_batch",
     "evaluate_serial",
     "expand_rows",
-    "expression",
     "find_counterexample",
     "load_network",
     "max_pool",

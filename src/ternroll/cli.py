@@ -15,11 +15,10 @@ import tempfile
 import numpy as np
 
 from . import netlist
-from .cse import CseFormatError, CseResult, bu_cse, find_counterexample, format_cse, no_cse, parse_cse, td_cse
-from .fixedpoint import SaturationCounter
-from .matrices import MatrixFormatError, TernaryMatrix, format_tmx, load_fmx, load_tmx
+from .cse import CseResult, bu_cse, find_counterexample, format_cse, no_cse, parse_cse, td_cse
+from .matrices import TernaryMatrix, format_tmx, load_fmx, load_tmx
 from .network import NetworkFormatError, NetworkSpec, load_network, parse_scale_shift
-from .pipeline import ImageFormatError, load_img, op_count, simulate, throughput_model
+from .pipeline import load_img, op_count, simulate, throughput_model
 from .ternarize import sparsity_sweep, ternarize, threshold
 from .treegen import (
     GraphValidationError,
@@ -32,17 +31,9 @@ from .treegen import (
 
 USAGE_ERROR, INPUT_ERROR, INTERNAL_ERROR = 1, 2, 3
 
-_INPUT_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-    MatrixFormatError,
-    NetworkFormatError,
-    CseFormatError,
-    ImageFormatError,
-    netlist.NetlistParseError,
-    ValueError,
-)
+# an unreadable or unwritable path, or any malformed input (every format
+# error is a ValueError)
+_INPUT_ERRORS = (OSError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,16 +45,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _atomic_write(path: str, data: str | bytes) -> None:
     mode = "wb" if isinstance(data, bytes) else "w"
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".ternroll-")
     try:
-        with os.fdopen(fd, mode) as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ternroll-")
+        try:
+            with os.fdopen(fd, mode) as f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:  # name the path given, not the temporary file
+        raise OSError(e.errno, e.strerror, path) from e
 
 
 def _run_cse(method: str, m: TernaryMatrix) -> CseResult:
@@ -167,12 +160,20 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _load_matrices(net: NetworkSpec, directory: str) -> dict[int, TernaryMatrix]:
+    """The ``layerNN.tmx`` weights of the Conv and Dense layers."""
+    return {
+        idx: load_tmx(os.path.join(directory, f"layer{idx:02d}.tmx"))
+        for idx, layer in enumerate(net.layers)
+        if layer.kind in ("Conv", "Dense")
+    }
+
+
 def _load_weights(net: NetworkSpec, directory: str) -> dict:
-    weights: dict[int, object] = {}
+    """The matrices plus the ``layerNN.json`` constants of the ScaleShift layers."""
+    weights: dict[int, object] = _load_matrices(net, directory)
     for idx, layer in enumerate(net.layers):
-        if layer.kind in ("Conv", "Dense"):
-            weights[idx] = load_tmx(os.path.join(directory, f"layer{idx:02d}.tmx"))
-        elif layer.kind == "ScaleShift":
+        if layer.kind == "ScaleShift":
             path = os.path.join(directory, f"layer{idx:02d}.json")
             with open(path, "r", encoding="utf-8") as f:
                 text = f.read()
@@ -224,19 +225,15 @@ def _cmd_report_throughput(args) -> int:
 
 def _cmd_report_ops(args) -> int:
     net = load_network(args.netfile)
-    weights = None
+    weights = _load_matrices(net, args.weights) if args.weights else None
     cse_costs = None
-    if args.weights:
-        weights = {
-            i: w for i, w in _load_weights(net, args.weights).items() if isinstance(w, TernaryMatrix)
-        }
-        if args.with_cse:
-            intervals = net.inferred_intervals()
-            cse_costs = {}
-            for i, layer in enumerate(net.layers):
-                if layer.kind == "Conv":
-                    g = schedule_serial(build_tree(_run_cse(args.method, weights[i]), args.arity), intervals[i])
-                    cse_costs[i] = cost(g).adds_plus_regs
+    if args.with_cse:
+        intervals = net.inferred_intervals()
+        cse_costs = {}
+        for i, layer in enumerate(net.layers):
+            if layer.kind == "Conv":
+                g = _build_graph(_run_cse(args.method, weights[i]), args.arity, intervals[i], True, "")
+                cse_costs[i] = cost(g).adds_plus_regs
     table = op_count(net, weights, cse_costs)
     print(f"{'Layer':<8} {'Formula':<22} {'MACs':>12} {'WithSparsity':>14} {'WithCSE':>12}")
     for r in table.rows:
@@ -264,9 +261,7 @@ def _cmd_simulate(args) -> int:
         return 0
     weights = _load_weights(net, args.weights)
     for image_path in args.images:
-        img = load_img(image_path)
-        counter = SaturationCounter()
-        res = simulate(net, weights, img, counter)
+        res = simulate(net, weights, load_img(image_path))
         line = "\t".join(str(v) for v in res.scores)
         print(f"{line}\targmax={res.argmax}")
         if res.saturations:
@@ -351,6 +346,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("simulate requires --weights")
         if not args.images:
             parser.error("simulate requires at least one image")
+    if args.command == "report-ops" and args.with_cse and not args.weights:
+        parser.error("report-ops --with-cse requires a weights directory")
     try:
         return args.fn(args)
     except (GraphValidationError, AssertionError, RuntimeError) as e:

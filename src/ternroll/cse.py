@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expression, from_dict
+from .expressions import Expression
 from .matrices import TernaryMatrix
 
 
@@ -44,11 +44,15 @@ class CseResult:
     n_inputs: int
     definitions: tuple[Expression, ...]
     outputs: tuple[Expression, ...]
-    stats: CseStats
 
     @property
     def n_vars(self) -> int:
         return self.n_inputs + len(self.definitions)
+
+    @property
+    def stats(self) -> CseStats:
+        """One extraction per definition; terms of definitions and outputs."""
+        return CseStats(len(self.definitions), sum(map(len, self.definitions + self.outputs)))
 
 
 @dataclass(frozen=True)
@@ -60,27 +64,19 @@ class ExtractionEvent:
     occurrences: int
 
 
-def _rows_of(signs: np.ndarray) -> list[dict[int, int]]:
-    """Nonzero {column: sign} of each row of a sign matrix, in column order."""
-    return [{int(c): int(row[c]) for c in np.flatnonzero(row)} for row in signs]
-
-
-def _expressions(signs: np.ndarray) -> tuple[Expression, ...]:
-    """Each row of a sign matrix as an Expression, from one ``np.nonzero`` pass."""
+def _expressions(signs: np.ndarray, ids: tuple[int, ...] = ()) -> tuple[Expression, ...]:
+    """Each row of a sign matrix as an Expression, from one ``np.nonzero``
+    pass; the first ``len(ids)`` rows get those ids, the rest none."""
     rows, cols = np.nonzero(signs)  # row-major, so each row's columns ascend
     terms = list(zip(cols.tolist(), signs[rows, cols].tolist()))
     ends = np.cumsum(np.count_nonzero(signs, axis=1)).tolist()
-    return tuple(Expression(tuple(terms[lo:hi])) for lo, hi in zip([0, *ends], ends))
-
-
-def _total_terms(rows_and_defs) -> int:
-    return sum(len(r) for r in rows_and_defs)
+    names = [*ids] + [None] * (len(ends) - len(ids))
+    return tuple(Expression(tuple(terms[lo:hi]), i) for lo, hi, i in zip([0, *ends], ends, names))
 
 
 def no_cse(m: TernaryMatrix) -> CseResult:
     """Identity result: every row kept verbatim, no shared definitions."""
-    outputs = _expressions(m.entries)
-    return CseResult(m.cols, (), outputs, CseStats(0, sum(len(o) for o in outputs)))
+    return CseResult(m.cols, (), _expressions(m.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +193,7 @@ def td_cse(
         stale = np.flatnonzero(stale)
         best[stale] = keys[stale, :n].max(axis=(1, 2))
 
-    outputs = _expressions(signs[:, :n])
-    total = _total_terms([d.terms for d in definitions]) + _total_terms([o.terms for o in outputs])
-    return CseResult(m.cols, tuple(definitions), outputs, CseStats(len(definitions), total))
+    return CseResult(m.cols, tuple(definitions), _expressions(signs[:, :n]))
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +235,16 @@ class PatternMatrix:
     for rows whose largest entry fell.
     """
 
-    def __init__(self, rows: list[dict[int, int]], n_vars: int) -> None:
-        signs = np.zeros((len(rows), n_vars), dtype=np.int8)
-        for r, row in enumerate(rows):
-            signs[r, list(row)] = list(row.values())
-        self.n_rows, self.n_vars = len(rows), n_vars
+    def __init__(self, signs: np.ndarray) -> None:
+        self.n_rows, self.n_vars = signs.shape
         # room for one appended row per 8 terms, about what measured runs
         # needed; grown by half when full. Each appended row brings at most
         # one variable, so the words cover every row the capacity allows.
-        cap = self.n_rows + _total_terms(rows) // 8 + 1
-        self.bits = np.zeros((cap, 2, _words(n_vars + cap - self.n_rows)), dtype=np.uint64)
+        cap = self.n_rows + int(np.count_nonzero(signs)) // 8 + 1
+        self.bits = np.zeros((cap, 2, _words(self.n_vars + cap - self.n_rows)), dtype=np.uint64)
         self.bits[: self.n_rows] = _pack(signs, self.bits.shape[2])
         # no working row ever grows, so no entry exceeds the widest row
-        self._p = np.zeros((cap, cap), dtype=np.min_scalar_type(n_vars))
+        self._p = np.zeros((cap, cap), dtype=np.min_scalar_type(self.n_vars))
         self._best = np.zeros(cap, dtype=self._p.dtype)
         self._update(np.arange(self.n_rows))
 
@@ -354,34 +345,28 @@ class PatternMatrix:
         self._update(np.append(hits, n))
         return len(hits)
 
-    def rows(self) -> list[dict[int, int]]:
-        """The working rows as {variable: sign} dicts."""
-        return _rows_of(_unpack(self.bits[: self.n_rows], self.n_vars))
 
-
-def _topo_definitions(bodies: list[tuple[int, dict[int, int]]]) -> list[Expression]:
-    """Order definitions so each references only inputs or earlier variables."""
-    body_of = dict(bodies)
-    pending: dict[int, set[int]] = {
-        var: {u for u in body if u in body_of} for var, body in bodies
-    }
-    users: dict[int, list[int]] = {var: [] for var, _ in bodies}
-    for var, deps in pending.items():
-        for u in deps:
-            users[u].append(var)
-    ready = [var for var, deps in pending.items() if not deps]
-    heapq.heapify(ready)
-    ordered: list[Expression] = []
+def _topo_order(defs: np.ndarray) -> list[int]:
+    """Order the rows of a square definition-on-definition sign matrix so
+    each references only earlier ones: Kahn's algorithm, smallest ready row
+    first."""
+    user, used = np.nonzero(defs)
+    pending = np.bincount(user, minlength=len(defs)).tolist()
+    users = [[] for _ in pending]
+    for u, d in zip(user.tolist(), used.tolist()):
+        users[d].append(u)
+    ready = [d for d, p in enumerate(pending) if not p]  # ascending, so a heap
+    order: list[int] = []
     while ready:
-        var = heapq.heappop(ready)
-        ordered.append(from_dict(body_of[var], id=var))
-        for w in users[var]:
-            pending[w].discard(var)
-            if not pending[w]:
-                heapq.heappush(ready, w)
-    if len(ordered) != len(bodies):
+        d = heapq.heappop(ready)
+        order.append(d)
+        for u in users[d]:
+            pending[u] -= 1
+            if not pending[u]:
+                heapq.heappush(ready, u)
+    if len(order) != len(defs):
         raise RuntimeError("cyclic definitions produced by extraction; invariant violated")
-    return ordered
+    return order
 
 
 def bu_cse(
@@ -401,7 +386,7 @@ def bu_cse(
     then the first row pair (r, s) in row order. Stops when the largest
     entry is at most one.
     """
-    pm = PatternMatrix(_rows_of(m.entries), m.cols)
+    pm = PatternMatrix(m.entries)
     n_defs = 0
     while max_extractions is None or n_defs < max_extractions:
         size = pm.max_entry()
@@ -412,14 +397,13 @@ def bu_cse(
         hits = pm.extract(pat)
         n_defs += 1
         if trace is not None:
-            body = _rows_of(_unpack(pat[None], var))[0]
-            trace.append(ExtractionEvent(var, from_dict(body), hits))
+            trace.append(ExtractionEvent(var, _expressions(_unpack(pat[None], var))[0], hits))
 
-    rows = pm.rows()
-    definitions = _topo_definitions([(m.cols + k, rows[m.rows + k]) for k in range(n_defs)])
-    outputs = tuple(from_dict(rows[r]) for r in range(m.rows))
-    total = _total_terms([d.terms for d in definitions]) + _total_terms([o.terms for o in outputs])
-    return CseResult(m.cols, tuple(definitions), outputs, CseStats(n_defs, total))
+    # working rows are the outputs, then definition k of variable m.cols + k
+    rows = _unpack(pm.bits[: pm.n_rows], pm.n_vars)
+    order = np.array(_topo_order(rows[m.rows :, m.cols :]), dtype=np.intp)
+    exprs = _expressions(rows[np.r_[m.rows + order, : m.rows]], tuple((m.cols + order).tolist()))
+    return CseResult(m.cols, exprs[:n_defs], exprs[n_defs:])
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +553,4 @@ def parse_cse(text: str, n_inputs: int | None = None) -> CseResult:
         for v, _ in ts:
             if v >= n_inputs and v not in defined:
                 raise CseFormatError(f"out {r} references undefined x{v}")
-    outputs = tuple(Expression(ts) for _, ts in outs)
-    total = _total_terms([d.terms for d in defs]) + _total_terms([o.terms for o in outputs])
-    return CseResult(n_inputs, tuple(defs), outputs, CseStats(len(defs), total))
+    return CseResult(n_inputs, tuple(defs), tuple(Expression(ts) for _, ts in outs))

@@ -42,12 +42,3 @@ class Expression:
         if not self.terms:
             return "0"
         return " ".join(f"{'+' if s > 0 else '-'}x{v}" for v, s in self.terms)
-
-
-def expression(pairs, id: int | None = None) -> Expression:
-    """Build an Expression from any iterable of (var, sign) pairs."""
-    return Expression(tuple((int(v), int(s)) for v, s in pairs), id)
-
-
-def from_dict(d: dict[int, int], id: int | None = None) -> Expression:
-    return Expression(tuple(sorted((int(v), int(s)) for v, s in d.items())), id)

@@ -29,16 +29,15 @@ class NetlistParseError(ValueError):
     """A netlist file violates the .ngl grammar or references dangling nodes."""
 
 
-def emit(g: AdderGraph, name: str = "") -> str:
+def emit(g: AdderGraph) -> str:
     """Serialize a validated graph; rejects graphs that fail validation."""
     validate_graph(g)
-    label = name or g.name
     head = (
         f"ngl inputs {len(g.inputs)} outputs {len(g.outputs)} nodes {len(g.kind)} "
         f"digits {g.digits} total {g.total_bits} aligned {1 if g.outputs_aligned else 0}"
     )
-    if label:
-        head += f" name {label}"
+    if g.name:
+        head += f" name {g.name}"
     # One %-format fills the whole body: each node's line template, then its
     # id and stage and its operand ids, in node order.
     n, m, start = len(g.kind), len(g.operand_node), g.operand_start

@@ -25,11 +25,11 @@ from ternroll import (
 )
 from ternroll import cli
 from ternroll.cli import main
-from ternroll.matrices import FloatMatrix, dump_fmx, dump_tmx, load_tmx
+from ternroll.matrices import FloatMatrix, dump_fmx, dump_tmx, load_tmx, random_ternary
 from ternroll.cse import CseResult, parse_cse
 from ternroll.expressions import Expression
 from ternroll import netlist
-from ternroll.network import save_network
+from ternroll.network import ACTIVATIONS, LayerSpec, NetworkSpec, save_network
 from ternroll.pipeline import dump_img
 
 from .test_pipeline import tiny_net, tiny_weights
@@ -98,7 +98,7 @@ def _one_sign_flipped(r: CseResult) -> CseResult:
     outputs = list(r.outputs)
     (v, s), *rest = outputs[1].terms
     outputs[1] = Expression(((v, -s), *rest))
-    return CseResult(r.n_inputs, r.definitions, tuple(outputs), r.stats)
+    return CseResult(r.n_inputs, r.definitions, tuple(outputs))
 
 
 @pytest.mark.parametrize(
@@ -240,6 +240,51 @@ def test_report_ops_with_weights_and_cse(tmp_path, capsys, rng):
     assert "-" not in out.splitlines()[1].split()[3]  # sparsity column filled
 
 
+def test_report_ops_needs_only_the_tmx_files(tmp_path, capsys, rng):
+    net_path, wdir, _ = _tiny_network_files(tmp_path, rng)
+    os.remove(wdir / "layer02.json")
+    assert main(["report-ops", net_path, str(wdir), "--with-cse"]) == 0
+    assert "-" not in capsys.readouterr().out.splitlines()[1].split()[3]
+
+
+def test_report_ops_with_cse_requires_weights(tmp_path, capsys):
+    net_path = tmp_path / "net.json"
+    save_network(tiny_net(), str(net_path))
+    with pytest.raises(SystemExit) as e:
+        main(["report-ops", str(net_path), "--with-cse"])
+    assert e.value.code == 1
+    assert "report-ops --with-cse requires a weights directory" in capsys.readouterr().err
+
+
+def test_report_ops_refuses_3_input_adders_at_a_serial_interval(tmp_path, capsys, rng):
+    # the second conv follows a stride-2 pool, so its pixel interval is 4
+    net = NetworkSpec(
+        (
+            LayerSpec("Buffer", 8, 1, kernel=3),
+            LayerSpec("Conv", 8, 1, kernel=3, filters=2),
+            LayerSpec("MaxPool", 8, 2, kernel=2, stride=2),
+            LayerSpec("Buffer", 4, 2, kernel=3),
+            LayerSpec("Conv", 4, 2, kernel=3, filters=2),
+            LayerSpec("Mux", 4, 2),
+            LayerSpec("Dense", 1, 32, filters=2),
+        ),
+        clock_hz=1e8,
+    )
+    net_path = tmp_path / "net.json"
+    save_network(net, str(net_path))
+    wdir = tmp_path / "weights"
+    wdir.mkdir()
+    for idx, (rows, cols) in {1: (2, 9), 4: (2, 18), 6: (2, 32)}.items():
+        dump_tmx(random_ternary(rows, cols, 0.3, rng), str(wdir / f"layer{idx:02d}.tmx"))
+    args = ["report-ops", str(net_path), str(wdir), "--with-cse", "--method", "td"]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main([*args, "--arity", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "ternroll: 3-input adders cannot be scheduled word- or bit-serial; use --arity 2\n"
+    )
+
+
 def test_simulate_cli_matches_library(tmp_path, capsys, rng):
     net = tiny_net()
     w = tiny_weights(rng)
@@ -351,6 +396,32 @@ def test_bad_scale_shift_file_exits_2(tmp_path, capsys, rng, body):
     assert main(["simulate", net_path, img_path, "--weights", str(wdir)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "layer02.json" in err
+
+
+@pytest.mark.parametrize(
+    "case", ["stats-through-file", "weights-dir-is-file", "emit-through-file", "missing-output-dir"]
+)
+def test_unusable_path_exits_2_with_one_line(tmp_path, capsys, rng, case):
+    net_path, _, _ = _tiny_network_files(tmp_path, rng)
+    tmx = tmp_path / "a.tmx"
+    tmx.write_text(TMX_7X6)
+    target = {
+        "stats-through-file": os.path.join(net_path, "x.ngl"),
+        "weights-dir-is-file": net_path,
+        "emit-through-file": os.path.join(net_path, "out.ngl"),
+        "missing-output-dir": str(tmp_path / "nodir" / "out.ngl"),
+    }[case]
+    argv = {
+        "stats-through-file": ["stats", target],
+        "weights-dir-is-file": ["report-ops", net_path, target],
+    }.get(case, ["emit", "--method", "td", str(tmx), target])
+    before = sorted(str(p) for p in tmp_path.rglob("*"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ternroll: ")
+    if case != "weights-dir-is-file":
+        assert repr(target) in err  # the path given, not a temporary file
+    assert sorted(str(p) for p in tmp_path.rglob("*")) == before
 
 
 def test_simulate_image_of_other_fraction_bits_exits_2(tmp_path, capsys, rng):
@@ -465,6 +536,17 @@ def _commands(d: str) -> list[list[str]]:
     ]
 
 
+def _run_main(argv: list[str]) -> tuple[object, str]:
+    """``main``'s exit code and stderr, run in-process with stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue()
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=_CASES)
 def test_cli_on_malformed_files_exits_0_1_or_2(case):
@@ -481,12 +563,84 @@ def test_cli_on_malformed_files_exits_0_1_or_2(case):
             content = json.dumps(obj)
         Path(path).write_bytes(content if isinstance(content, bytes) else content.encode())
         for argv in _commands(d):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as e:
-                    code = e.code
-            assert code in (0, 1, 2), (argv, err.getvalue())
+            code, err = _run_main(argv)
+            assert code in (0, 1, 2), (argv, err)
             if code == 2:
-                assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+                assert err.count("\n") == 1, (argv, err)
+
+
+@st.composite
+def _whole_networks(draw):
+    """A valid network of images at most 8 wide and 8 deep, with a seed for
+    its weights and input image."""
+    width, chans = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    layers: list[LayerSpec] = []
+    # image blocks, weighted to put convolutions after pools, then vector blocks
+    image = st.sampled_from(["Buffer", "Conv", "Conv", "MaxPool", "MaxPool", "ScaleShift"])
+    kinds = draw(st.lists(image, min_size=1, max_size=6))
+    kinds += draw(st.lists(st.sampled_from(["ScaleShift", "Mux", "Dense"]), max_size=3))
+    for kind in kinds:
+        if kind == "Conv":
+            kernel = draw(st.sampled_from([k for k in (1, 3, 5) if k <= width]))
+            layer = LayerSpec(kind, width, chans, kernel=kernel, filters=draw(st.integers(1, 8)))
+        elif kind == "MaxPool":
+            stride = draw(st.sampled_from([s for s in range(2, width + 1) if width % s == 0] or [1]))
+            layer = LayerSpec(kind, width, chans, kernel=draw(st.integers(1, width)), stride=stride)
+        elif kind == "Buffer":
+            layer = LayerSpec(kind, width, chans, kernel=draw(st.integers(1, width)))
+        elif kind == "ScaleShift":
+            layer = LayerSpec(kind, width, chans, activation=draw(st.sampled_from(ACTIVATIONS)))
+        elif kind == "Dense":
+            layer = LayerSpec(kind, width, chans, filters=draw(st.integers(1, 8)))
+        else:
+            layer = LayerSpec(kind, width, chans)
+        layers.append(layer)
+        width, chans = layer.out_shape()
+    return NetworkSpec(tuple(layers), clock_hz=1e8), draw(st.integers(0, 2**32 - 1))
+
+
+def _write_whole_network(d: str, net: NetworkSpec, seed: int) -> tuple[str, str, str]:
+    """The network file, a weights directory to match and one image."""
+    rng = np.random.default_rng(seed)
+    net_path, wdir, img_path = (os.path.join(d, f) for f in ("net.json", "weights", "img.txt"))
+    save_network(net, net_path)
+    os.mkdir(wdir)
+    width = net.input_width
+    for idx, layer in enumerate(net.layers):
+        name = os.path.join(wdir, f"layer{idx:02d}")
+        if layer.kind in ("Conv", "Dense"):
+            side = layer.kernel if layer.kind == "Conv" else layer.in_width
+            cols = side * side * layer.in_channels
+            dump_tmx(random_ternary(layer.filters, cols, rng.uniform(0.2, 0.8), rng), name + ".tmx")
+        elif layer.kind == "ScaleShift":
+            c, b = rng.uniform(-4, 4, size=(2, layer.in_channels)).tolist()
+            Path(name + ".json").write_text(json.dumps({"c": c, "b": b}))
+    image = rng.integers(-(2**11), 2**11, size=(width, width, net.input_channels))
+    dump_img(ImageStream(image), img_path)
+    return net_path, wdir, img_path
+
+
+@settings(max_examples=25, deadline=None)
+@given(drawn=_whole_networks())
+def test_cli_on_whole_networks_exits_0_or_2(drawn):
+    # report-ops --with-cse refuses a network exactly when emit refuses
+    # one of its Conv layers at that layer's pixel interval
+    net, seed = drawn
+    intervals = net.inferred_intervals()
+    convs = [i for i, layer in enumerate(net.layers) if layer.kind == "Conv"]
+    with tempfile.TemporaryDirectory() as d:
+        net_path, wdir, img_path = _write_whole_network(d, net, seed)
+        code, err = _run_main(["simulate", net_path, img_path, "--weights", wdir])
+        assert code in (0, 2) and (code == 0 or err.count("\n") == 1), err
+        for method in ("td", "bu", "none"):
+            for arity in ("2", "3"):
+                code, err = _run_main(["report-ops", net_path, wdir, "--with-cse", "--method", method, "--arity", arity])
+                assert code in (0, 2) and (code == 0 or err.count("\n") == 1), err
+                emitted = [
+                    _run_main([
+                        "emit", "--method", method, "--arity", arity, "--interval", str(intervals[i]),
+                        os.path.join(wdir, f"layer{i:02d}.tmx"), os.path.join(d, "out.ngl"),
+                    ])[0]
+                    for i in convs
+                ]
+                assert code == max(emitted, default=0), (method, arity, err)

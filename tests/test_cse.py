@@ -16,7 +16,6 @@ from ternroll import (
 from ternroll.cse import (
     CseFormatError,
     CseResult,
-    CseStats,
     format_cse,
     parse_cse,
 )
@@ -145,9 +144,7 @@ def test_bu_appended_row_is_further_decomposed(m7x6):
     # rewritten in terms of a later extraction
     x6 = next(d for d in r.definitions if d.id == 6)
     assert len(x6.terms) == 2
-    expanded = expand_rows(
-        CseResult(r.n_inputs, r.definitions, (Expression(((6, 1),)),), CseStats(0, 0))
-    )
+    expanded = expand_rows(CseResult(r.n_inputs, r.definitions, (Expression(((6, 1),)),)))
     assert expanded.tolist() == [[1, 0, 1, 1, 0, 0]]
     assert find_counterexample(m7x6, r) is None
     assert np.array_equal(expand_rows(r), m7x6.entries.astype(np.int32))
@@ -302,7 +299,7 @@ def test_corrupted_result_found_with_witness(m7x6):
     flipped = list(r.outputs)
     v, s = flipped[1].terms[0]
     flipped[1] = Expression(((v, -s),) + flipped[1].terms[1:])
-    bad = CseResult(r.n_inputs, r.definitions, tuple(flipped), r.stats)
+    bad = CseResult(r.n_inputs, r.definitions, tuple(flipped))
     w = find_counterexample(m7x6, bad)
     assert w.tolist() == [int(c == v) for c in range(6)]  # e_v, the flipped column
     got = expand_rows(bad) @ w

@@ -25,8 +25,8 @@ def test_empty_graph_header_only():
 
 
 def test_filter_tree_netlist_reconstructs_row(filter_matrix):
-    g = build_tree(no_cse(filter_matrix), 2)
-    text = emit(g, name="filter")
+    g = build_tree(no_cse(filter_matrix), 2, name="filter")
+    text = emit(g)
     adds = [l for l in text.splitlines() if " add " in l]
     assert len(adds) == 4
     back = parse(text)
