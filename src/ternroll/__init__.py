@@ -16,7 +16,6 @@ from .fixedpoint import (
     ACT_FORMAT,
     SCALE_FORMAT,
     FixedPointFormat,
-    FixedValue,
     SaturationCounter,
     quantize,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "Expression",
     "ExtractionEvent",
     "FixedPointFormat",
-    "FixedValue",
     "FloatMatrix",
     "ImageStream",
     "LayerSpec",

@@ -161,12 +161,19 @@ def _cmd_stats(args) -> int:
 
 
 def _load_matrices(net: NetworkSpec, directory: str) -> dict[int, TernaryMatrix]:
-    """The ``layerNN.tmx`` weights of the Conv and Dense layers."""
-    return {
-        idx: load_tmx(os.path.join(directory, f"layer{idx:02d}.tmx"))
-        for idx, layer in enumerate(net.layers)
-        if layer.kind in ("Conv", "Dense")
-    }
+    """The ``layerNN.tmx`` weights of the Conv and Dense layers, each of its
+    layer's weight shape."""
+    matrices = {}
+    for idx, layer in enumerate(net.layers):
+        if layer.kind in ("Conv", "Dense"):
+            path = os.path.join(directory, f"layer{idx:02d}.tmx")
+            m = matrices[idx] = load_tmx(path)
+            rows, cols = layer.weight_shape
+            if (m.rows, m.cols) != (rows, cols):
+                raise ValueError(
+                    f"{path}: weights are {m.rows}x{m.cols}, {layer.kind} layer {idx} needs {rows}x{cols}"
+                )
+    return matrices
 
 
 def _load_weights(net: NetworkSpec, directory: str) -> dict:

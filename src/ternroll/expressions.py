@@ -35,9 +35,6 @@ class Expression:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

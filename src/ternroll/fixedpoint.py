@@ -1,12 +1,12 @@
 """Two's-complement fixed-point formats and saturating quantization.
 
-Rounding everywhere is round-to-nearest with ties away from zero.
-Quantization saturates silently; callers that care pass a SaturationCounter.
+Fixed-point values are arrays of raw int64 integers. Rounding everywhere is
+round-to-nearest with ties away from zero. Saturation is silent; callers that
+care pass a SaturationCounter.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,39 +57,27 @@ class SaturationCounter:
         self.count += n
 
 
-@dataclass(frozen=True)
-class FixedValue:
-    raw: int
-    fmt: FixedPointFormat
-
-    def to_float(self) -> float:
-        return self.raw / self.fmt.scale
-
-
-def round_half_away(x: float) -> int:
-    """Round to nearest integer, ties away from zero."""
-    if x >= 0:
-        return math.floor(x + 0.5)
-    return math.ceil(x - 0.5)
+def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = None) -> np.ndarray:
+    """Clamp integers (or integer-valued floats) to the format as int64 raw
+    values, counting the values clamped."""
+    raw = np.asarray(raw)
+    high, low = raw >= -fmt.raw_min, raw < fmt.raw_min  # both bounds exact in float64
+    if counter is not None:
+        counter.hit(int(np.count_nonzero(high | low)))
+    out = np.where(high | low, 0, raw).astype(np.int64)
+    out[high], out[low] = fmt.raw_max, fmt.raw_min
+    return out
 
 
-def saturate(raw: int, fmt: FixedPointFormat, counter: SaturationCounter | None = None) -> int:
-    if raw > fmt.raw_max:
-        if counter is not None:
-            counter.hit()
-        return fmt.raw_max
-    if raw < fmt.raw_min:
-        if counter is not None:
-            counter.hit()
-        return fmt.raw_min
-    return raw
-
-
-def quantize(x: float, fmt: FixedPointFormat, counter: SaturationCounter | None = None) -> FixedValue:
-    """Quantize a real to the format, exactly representable values unchanged."""
-    if not math.isfinite(x):
-        raise ValueError(f"cannot quantize non-finite value {x!r}")
-    return FixedValue(saturate(round_half_away(x * fmt.scale), fmt, counter), fmt)
+def quantize(values, fmt: FixedPointFormat, counter: SaturationCounter | None = None) -> np.ndarray:
+    """Raw int64 values of reals in the format: round half away from zero,
+    then saturate. Exactly representable values are unchanged."""
+    x = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError(f"cannot quantize non-finite values to {fmt}")
+    with np.errstate(over="ignore"):  # a product past float64 saturates as +-inf
+        x = x * fmt.scale
+    return saturate(np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)), fmt, counter)
 
 
 def shift_right_round(p, bits: int):

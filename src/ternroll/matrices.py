@@ -67,11 +67,6 @@ class TernaryMatrix:
         """Fraction of zero entries, in [0, 1]."""
         return float(np.count_nonzero(self.entries == 0)) / (self.rows * self.cols)
 
-    def row_terms(self, r: int) -> list[tuple[int, int]]:
-        """Nonzero (column, sign) pairs of row ``r`` in column order."""
-        row = self.entries[r]
-        return [(int(c), int(row[c])) for c in np.flatnonzero(row)]
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Exact integer product entries @ x (wide accumulation)."""
         return self.entries.astype(np.int64) @ np.asarray(x, dtype=np.int64)

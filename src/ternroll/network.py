@@ -76,6 +76,13 @@ class LayerSpec:
             return 1, self.filters
         return self.in_width, self.in_channels
 
+    @property
+    def weight_shape(self) -> tuple[int, int]:
+        """(filters, inputs) of a Conv or Dense weight matrix: a Conv reads
+        one kernel x kernel patch, a Dense its whole input image."""
+        side = self.kernel if self.kind == "Conv" else self.in_width
+        return self.filters, side * side * self.in_channels
+
 
 @dataclass(frozen=True)
 class ScaleShiftParams:
@@ -92,10 +99,6 @@ class ScaleShiftParams:
             raise ValueError(f"scale/shift length mismatch: {len(self.c)} vs {len(self.b)}")
         if not self.c:
             raise ValueError("scale/shift constants must not be empty")
-
-    @property
-    def channels(self) -> int:
-        return len(self.c)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .fixedpoint import (
     FixedPointFormat,
     SaturationCounter,
     quantize,
+    saturate,
     shift_right_round,
 )
 from .matrices import TernaryMatrix
@@ -159,19 +160,6 @@ def max_pool(img: ImageStream, k: int, n: int) -> ImageStream:
     return ImageStream(out, img.frac_bits)
 
 
-def quantize_params(
-    params: ScaleShiftParams,
-    scale_fmt: FixedPointFormat = SCALE_FORMAT,
-    act_fmt: FixedPointFormat = ACT_FORMAT,
-    counter: SaturationCounter | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw scale constants in the scale format, shifts pre-aligned to the
-    activation format."""
-    c = np.array([quantize(v, scale_fmt, counter).raw for v in params.c], dtype=np.int64)
-    b = np.array([quantize(v, act_fmt, counter).raw for v in params.b], dtype=np.int64)
-    return c, b
-
-
 def scale_shift(
     x,
     params: ScaleShiftParams,
@@ -184,16 +172,14 @@ def scale_shift(
 
     ``x`` is a raw integer channel vector (or an array whose last axis is
     channels); it need not fit the activation format on entry, the result
-    always does.
+    always does. The constants are quantized to the scale format (``c``) and
+    pre-aligned to the activation format (``b``).
     """
     x = np.asarray(x, dtype=np.int64)
-    c_raw, b_raw = quantize_params(params, scale_fmt, act_fmt)
+    c_raw, b_raw = quantize(params.c, scale_fmt), quantize(params.b, act_fmt)
     if x.shape[-1] != len(params.c):
         raise ValueError(f"expected {len(params.c)} channels, got {x.shape[-1]}")
-    t = shift_right_round(x * c_raw, scale_fmt.frac_bits) + b_raw
-    y = np.clip(t, act_fmt.raw_min, act_fmt.raw_max)
-    if counter is not None:
-        counter.hit(int((t != y).sum()))
+    y = saturate(shift_right_round(x * c_raw, scale_fmt.frac_bits) + b_raw, act_fmt, counter)
     if act == "ReLU":
         y = np.maximum(y, 0)
     return y
@@ -243,23 +229,19 @@ def simulate(
             t = weights.get(idx)
             if not isinstance(t, TernaryMatrix):
                 raise ValueError(f"layer {idx}: {kind} needs a TernaryMatrix weight")
+            rows, cols = layer.weight_shape
+            if (t.rows, t.cols) != (rows, cols):
+                raise ValueError(
+                    f"layer {idx}: {kind.lower()} weights are {t.rows}x{t.cols}, layer needs {rows}x{cols}"
+                )
             if kind == "Conv":
-                rows, cols = layer.filters, layer.kernel * layer.kernel * layer.in_channels
-                if (t.rows, t.cols) != (rows, cols):
-                    raise ValueError(
-                        f"layer {idx}: conv weights are {t.rows}x{t.cols}, layer needs {rows}x{cols}"
-                    )
                 patches = patch_matrix(ImageStream(x, act.frac_bits), layer.kernel)
-                x = (patches @ t.entries.astype(np.int64).T).reshape(x.shape[0], x.shape[1], t.rows)
+                x = t.matvec(patches.T).T.reshape(x.shape[0], x.shape[1], rows)
             else:
-                if x.size != t.cols:
-                    raise ValueError(f"layer {idx}: dense weights have {t.cols} columns, input has {x.size}")
                 x = t.matvec(x.reshape(-1))
             following = net.layers[idx + 1].kind if idx + 1 < len(net.layers) else None
             if following != "ScaleShift":
-                clipped = np.clip(x, act.raw_min, act.raw_max)
-                counter.hit(int((clipped != x).sum()))
-                x = clipped
+                x = saturate(x, act, counter)
         elif kind == "ScaleShift":
             p = weights.get(idx)
             if not isinstance(p, ScaleShiftParams):
@@ -383,9 +365,9 @@ def op_count(
 ) -> OpCountTable:
     """Per-layer multiply-accumulate accounting.
 
-    The dense column is W_out^2 * N^2 * D * F for convolutions and in*out for
-    dense layers, computable from the network description alone. With weight
-    matrices the sparsity column scales each convolution by its nonzero
+    The dense column is W_out^2 * N^2 * D * F for convolutions and in*out,
+    with in = W_in^2 * D, for dense layers, computable from the network
+    description alone. With weight matrices the sparsity column scales each convolution by its nonzero
     fraction; with per-layer post-extraction adder costs (``cse_costs`` maps
     layer index to Adds+Regs) the final column charges that many adds per
     output pixel. Dense-layer entries count one MAC as two ops in the final
@@ -411,10 +393,9 @@ def op_count(
             rows.append(OpCountRow(f"Conv{conv_no}", formula, macs, sparse, cse))
         elif layer.kind == "Dense":
             dense_no += 1
-            macs = layer.in_channels * layer.filters
-            formula = f"{layer.in_channels}*{layer.filters}"
-            name = f"Dense{dense_no}"
-            rows.append(OpCountRow(name, formula, macs, macs, 2 * macs))
+            outputs, inputs = layer.weight_shape
+            macs = inputs * outputs
+            rows.append(OpCountRow(f"Dense{dense_no}", f"{inputs}*{outputs}", macs, macs, 2 * macs))
     total_dense = sum(r.dense_macs for r in rows)
     have_sparse = all(r.sparse_macs is not None for r in rows)
     have_cse = all(r.cse_ops is not None for r in rows)

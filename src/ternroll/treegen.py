@@ -152,7 +152,6 @@ def build_tree(
     arity: int = 2,
     *,
     align_outputs: bool = True,
-    total_bits: int = 16,
     name: str = "",
 ) -> AdderGraph:
     """Pack a CSE result into a pipelined adder graph.
@@ -181,7 +180,7 @@ def build_tree(
             nid = b.delayed(r[0], target) if align_outputs else r[0]
             b.new(OUT, b.stage[nid], (nid,), (r[1],))
     g = AdderGraph(b.kind, b.stage, b.start, b.node, b.sign,
-                   outputs_aligned=align_outputs, total_bits=total_bits, name=name)
+                   outputs_aligned=align_outputs, name=name)
     validate_graph(g)
     return g
 
@@ -246,7 +245,7 @@ def cost(g: AdderGraph) -> CostReport:
     return CostReport(adders, regs, adders + regs, depth)
 
 
-def schedule_serial(g: AdderGraph, pixel_interval: int, total_bits: int = 16) -> AdderGraph:
+def schedule_serial(g: AdderGraph, pixel_interval: int) -> AdderGraph:
     """Assign the digit-serial schedule matching the layer's pixel interval.
 
     With M cycles between samples the adders can compute one digit per cycle:
@@ -256,13 +255,13 @@ def schedule_serial(g: AdderGraph, pixel_interval: int, total_bits: int = 16) ->
     """
     if pixel_interval < 1:
         raise ValueError(f"pixel interval must be >= 1, got {pixel_interval}")
-    digits = min(pixel_interval, total_bits)
-    if total_bits % digits:
+    digits = min(pixel_interval, g.total_bits)
+    if g.total_bits % digits:
         raise ValueError(
             f"pixel interval {pixel_interval} gives {digits} digits, "
-            f"which do not divide {total_bits} bits into a legal digit width"
+            f"which do not divide {g.total_bits} bits into a legal digit width"
         )
-    return replace(g, digits=digits, total_bits=total_bits)
+    return replace(g, digits=digits)
 
 
 def area_slice_estimate(g: AdderGraph) -> float:

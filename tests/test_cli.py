@@ -247,6 +247,20 @@ def test_report_ops_needs_only_the_tmx_files(tmp_path, capsys, rng):
     assert "-" not in capsys.readouterr().out.splitlines()[1].split()[3]
 
 
+@pytest.mark.parametrize(
+    "layer, shape, needs",
+    [(1, (5, 7), "Conv layer 1 needs 4x9"), (5, (3, 63), "Dense layer 5 needs 3x64"), (5, (4, 64), "Dense layer 5 needs 3x64")],
+    ids=["conv-5x7", "dense-3x63", "dense-4x64"],
+)
+@pytest.mark.parametrize("with_cse", [[], ["--with-cse"]], ids=["plain", "with-cse"])
+def test_report_ops_rejects_weights_of_the_wrong_shape(tmp_path, capsys, rng, layer, shape, needs, with_cse):
+    net_path, wdir, _ = _tiny_network_files(tmp_path, rng)
+    path = str(wdir / f"layer{layer:02d}.tmx")
+    dump_tmx(random_ternary(*shape, 0.5, rng), path)
+    assert main(["report-ops", net_path, str(wdir), *with_cse]) == 2
+    assert capsys.readouterr().err == f"ternroll: {path}: weights are {shape[0]}x{shape[1]}, {needs}\n"
+
+
 def test_report_ops_with_cse_requires_weights(tmp_path, capsys):
     net_path = tmp_path / "net.json"
     save_network(tiny_net(), str(net_path))

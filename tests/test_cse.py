@@ -197,7 +197,7 @@ def test_bu_termination_no_common_pattern_left(m7x6):
 
 def test_pattern_matrix_untouched_pairs_never_grow(rng):
     m = random_ternary(10, 14, 0.5, rng)
-    rows = [dict(m.row_terms(r)) for r in range(m.rows)]
+    rows = [{int(c): int(row[c]) for c in np.flatnonzero(row)} for row in m.entries]
     before = cse_ref.pattern_sizes(rows)
     for k in range(1, 4):
         r = bu_cse(m, max_extractions=k)

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,14 +9,39 @@ from ternroll.fixedpoint import (
     ACT_FORMAT,
     SCALE_FORMAT,
     FixedPointFormat,
-    FixedValue,
     SaturationCounter,
     quantize,
-    round_half_away,
+    saturate,
     shift_right_round,
 )
 from ternroll.network import ScaleShiftParams
 from ternroll.pipeline import scale_shift
+
+# ---------------------------------------------------------------------------
+# Scalar reference: one Python integer at a time, exact at every width
+
+
+def round_half_away(x: float) -> int:
+    """Round to nearest integer, ties away from zero."""
+    if x >= 0:
+        return math.floor(x + 0.5)
+    return math.ceil(x - 0.5)
+
+
+def saturate_ref(raw: int, fmt: FixedPointFormat, counter: SaturationCounter | None = None) -> int:
+    if raw > fmt.raw_max:
+        if counter is not None:
+            counter.hit()
+        return fmt.raw_max
+    if raw < fmt.raw_min:
+        if counter is not None:
+            counter.hit()
+        return fmt.raw_min
+    return raw
+
+
+def quantize_ref(x: float, fmt: FixedPointFormat, counter: SaturationCounter | None = None) -> int:
+    return saturate_ref(round_half_away(x * fmt.scale), fmt, counter)
 
 
 def test_defaults():
@@ -32,23 +60,19 @@ def test_format_validation():
 
 
 def test_quantize_exact_one():
-    assert quantize(1.0, ACT_FORMAT).raw == 16
+    assert quantize(1.0, ACT_FORMAT) == 16
 
 
 def test_quantize_rounds_half_away():
     # 0.05 * 64 = 3.2 -> 3, representing 0.046875
-    v = quantize(0.05, SCALE_FORMAT)
-    assert v.raw == 3
-    assert v.to_float() == pytest.approx(0.046875)
-    # exact tie rounds away from zero in both directions
-    assert quantize(0.0234375, SCALE_FORMAT).raw == 2  # 1.5 -> 2
-    assert quantize(-0.0234375, SCALE_FORMAT).raw == -2
+    assert quantize(0.05, SCALE_FORMAT) == 3
+    # exact ties round away from zero in both directions: 1.5 -> 2, 2.5 -> 3
+    assert quantize([0.0234375, -0.0234375, 2.5 / 64, -2.5 / 64], SCALE_FORMAT).tolist() == [2, -2, 3, -3]
 
 
 def test_quantize_saturates():
     counter = SaturationCounter()
-    assert quantize(3000.0, ACT_FORMAT, counter).raw == 32767
-    assert quantize(-3000.0, ACT_FORMAT, counter).raw == -32768
+    assert quantize([3000.0, -3000.0, 1.0], ACT_FORMAT, counter).tolist() == [32767, -32768, 16]
     assert counter.count == 2
 
 
@@ -57,16 +81,66 @@ def test_quantize_rejects_nan():
         quantize(float("nan"), ACT_FORMAT)
 
 
+def test_quantize_saturates_exactly_at_64_bits():
+    # float64 cannot hold 2**63 - 1: a float clamp would give -2**63 for all three
+    q58_6 = FixedPointFormat(64, 6)
+    counter = SaturationCounter()
+    assert quantize([1e300, 2.0**57, -1e300], q58_6, counter).tolist() == [2**63 - 1, 2**63 - 1, -(2**63)]
+    assert counter.count == 3
+
+
+def test_quantize_saturates_a_product_past_float64():
+    counter = SaturationCounter()
+    assert quantize([1e300, -1e300], FixedPointFormat(64, 63), counter).tolist() == [2**63 - 1, -(2**63)]
+    assert counter.count == 2
+
+
+def test_saturate_counts_clamped_values():
+    counter = SaturationCounter()
+    out = saturate(np.array([[5, -40000], [40000, 32767]]), ACT_FORMAT, counter)
+    assert out.dtype == np.int64 and out.tolist() == [[5, -32768], [32767, 32767]]
+    assert counter.count == 2
+
+
+@st.composite
+def _formats(draw):
+    total = draw(st.integers(2, 64))
+    return FixedPointFormat(total, draw(st.integers(0, total - 1)))
+
+
+def _reals(fmt: FixedPointFormat):
+    """Reals near the format's range and its rounding ties, huge values and +-0."""
+    ties = st.integers(-(2**64), 2**64).map(lambda k: (k + 0.5) / fmt.scale)
+    edges = st.sampled_from([fmt.raw_max, fmt.raw_min]).flatmap(
+        lambda r: st.integers(-2, 2).map(lambda d: (r + d) / fmt.scale)
+    )
+    return st.one_of(
+        ties, edges, st.sampled_from([0.0, -0.0, 1e300, -1e300]), st.floats(allow_nan=False, allow_infinity=False)
+    )
+
+
+@given(st.data())
+def test_quantize_matches_scalar_reference(data):
+    fmt = data.draw(_formats())
+    xs = data.draw(st.lists(_reals(fmt), max_size=20))
+    xs = [x for x in xs if math.isfinite(x * fmt.scale)]  # the reference cannot round an infinite product
+    want_count, got_count = SaturationCounter(), SaturationCounter()
+    want = [quantize_ref(x, fmt, want_count) for x in xs]
+    got = quantize(np.array(xs, dtype=np.float64), fmt, got_count)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert got_count.count == want_count.count
+
+
 @given(st.integers(-(2**15), 2**15 - 1))
 def test_quantize_idempotent_on_representable(raw):
-    v = FixedValue(raw, ACT_FORMAT)
-    assert quantize(v.to_float(), ACT_FORMAT).raw == raw
+    assert quantize(raw / ACT_FORMAT.scale, ACT_FORMAT) == raw
 
 
 @given(st.floats(-2000.0, 2000.0, allow_nan=False))
 def test_quantize_error_bound(x):
-    v = quantize(x, ACT_FORMAT)
-    assert abs(v.to_float() - x) <= 2.0 ** (-ACT_FORMAT.frac_bits - 1)
+    raw = quantize(x, ACT_FORMAT)
+    assert abs(raw / ACT_FORMAT.scale - x) <= 2.0 ** (-ACT_FORMAT.frac_bits - 1)
 
 
 def test_round_half_away():

@@ -44,10 +44,6 @@ def test_immutable():
         m.entries[0, 0] = 1
 
 
-def test_row_terms(filter_matrix):
-    assert filter_matrix.row_terms(0) == [(0, -1), (2, 1), (4, 1), (5, 1), (7, -1)]
-
-
 def test_tmx_round_trip(rng):
     m = random_ternary(5, 7, 0.5, rng)
     again = parse_tmx(format_tmx(m))

@@ -100,11 +100,17 @@ def test_round_trip():
     assert again == net
 
 
+def test_weight_shape():
+    assert LayerSpec("Conv", 8, 3, kernel=3, filters=5).weight_shape == (5, 27)
+    assert LayerSpec("Dense", 1, 64, filters=3).weight_shape == (3, 64)
+    assert LayerSpec("Dense", 4, 2, filters=3).weight_shape == (3, 32)
+
+
 def test_scale_shift_params_validation():
     with pytest.raises(ValueError):
         ScaleShiftParams((1.0, 2.0), (0.0,))
     p = ScaleShiftParams((1.0,), (0.0,), 0.5)
-    assert p.channels == 1
+    assert len(p.c) == 1
 
 
 def test_vgg7_shape():

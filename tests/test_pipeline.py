@@ -207,8 +207,26 @@ def test_dense_matches_matvec_oracle(rng):
 
 def test_dense_dimension_mismatch(rng):
     t = random_ternary(3, 8, 0.5, rng)
-    with pytest.raises(ValueError, match="dense weights have 8 columns, input has 9"):
+    with pytest.raises(ValueError, match="dense weights are 3x8, layer needs 3x9"):
         simulate(dense_net(9, 3), identity_weights(t), ImageStream(np.zeros((1, 1, 9), dtype=np.int64)))
+
+
+def test_dense_rows_must_match_filters(rng):
+    # a 5x4 matrix gave five scores for a layer of three filters
+    net = NetworkSpec((LayerSpec("Mux", 2, 1), LayerSpec("Dense", 1, 4, filters=3)))
+    weights = {1: random_ternary(5, 4, 0.5, rng)}
+    with pytest.raises(ValueError, match="layer 1: dense weights are 5x4, layer needs 3x4"):
+        simulate(net, weights, ImageStream(np.zeros((2, 2, 1), dtype=np.int64)))
+
+
+def test_dense_reads_a_whole_image(rng):
+    # a Dense layer straight after a Conv flattens the image raster-major, channels minor
+    net = NetworkSpec((LayerSpec("Conv", 4, 1, kernel=1, filters=2), LayerSpec("Dense", 4, 2, filters=3)))
+    conv, dense = random_ternary(2, 1, 0.0, rng), random_ternary(3, 32, 0.5, rng)
+    x = rng.integers(-100, 100, size=(4, 4, 1))
+    want = dense.entries.astype(np.int64) @ (x * conv.entries[:, 0]).reshape(-1)
+    res = simulate(net, {0: conv, 1: dense}, ImageStream(x))
+    assert res.scores == tuple(want)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +452,13 @@ def test_op_count_sparsity_and_cse_columns(rng):
     assert row.cse_ops == 64 * 10
     dense_row = table.rows[1]
     assert dense_row.cse_ops == 2 * dense_row.dense_macs  # one MAC counted as two ops
+
+
+def test_op_count_dense_reading_an_image():
+    # its weights are 3 x (4*4*2): 96 MACs, not in_channels * filters = 6
+    table = op_count(NetworkSpec((LayerSpec("Dense", 4, 2, filters=3),)))
+    (row,) = table.rows
+    assert (row.formula, row.dense_macs, row.sparse_macs, row.cse_ops) == ("32*3", 96, 96, 192)
 
 
 def test_op_count_zero_filters():
