@@ -33,7 +33,6 @@ from .pipeline import (
     scale_shift,
     simulate,
     throughput_model,
-    window_stream,
 )
 from .ternarize import sparsity_sweep, ternarize
 from .treegen import (
@@ -97,5 +96,4 @@ __all__ = [
     "throughput_model",
     "validate_graph",
     "vgg7_cifar10",
-    "window_stream",
 ]

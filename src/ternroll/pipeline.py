@@ -16,9 +16,9 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fixedpoint import (
     ACT_FORMAT,
@@ -41,7 +41,7 @@ class ImageFormatError(ValueError):
 class ImageStream:
     """A raster-ordered image of raw fixed-point channel vectors."""
 
-    data: np.ndarray = field(repr=False)  # (height, width, channels) int32 raw
+    data: np.ndarray = field(repr=False)  # (height, width, channels) int64 raw
     frac_bits: int = 4
 
     def __post_init__(self) -> None:
@@ -64,15 +64,16 @@ class ImageStream:
     def channels(self) -> int:
         return self.data.shape[2]
 
-    def pixels(self) -> Iterator[np.ndarray]:
-        """Pixels in raster order (left-to-right, top-to-bottom)."""
-        for i in range(self.height):
-            for j in range(self.width):
-                yield self.data[i, j]
-
     def flatten(self) -> np.ndarray:
         """Raster-major, channel-minor vector of all values."""
         return self.data.reshape(-1).copy()
+
+
+def _check_window(width: int, height: int, kernel: int) -> None:
+    if kernel % 2 == 0:
+        raise ValueError(f"window kernel must be odd, got {kernel}")
+    if kernel > width or kernel > height:
+        raise ValueError(f"kernel {kernel} exceeds image {width}x{height}")
 
 
 class WindowBuffer:
@@ -86,10 +87,7 @@ class WindowBuffer:
     """
 
     def __init__(self, width: int, height: int, channels: int, kernel: int) -> None:
-        if kernel % 2 == 0:
-            raise ValueError(f"window kernel must be odd, got {kernel}")
-        if kernel > width or kernel > height:
-            raise ValueError(f"kernel {kernel} exceeds image {width}x{height}")
+        _check_window(width, height, kernel)
         self.width, self.height, self.channels, self.kernel = width, height, channels, kernel
         self.pad = kernel // 2
         self._lines: list[deque] = [deque() for _ in range(kernel - 1)]
@@ -128,21 +126,14 @@ class WindowBuffer:
         return self.width * self.height + self.pad * self.width + self.pad
 
 
-def window_stream(img: ImageStream, kernel: int) -> Iterator[np.ndarray]:
-    """All H*W zero-padded patches of the image in raster order."""
-    buf = WindowBuffer(img.width, img.height, img.channels, kernel)
-    zero = np.zeros(img.channels, dtype=np.int64)
-    pixels = img.pixels()
-    for n in range(buf.total_pushes()):
-        px = next(pixels) if n < img.width * img.height else zero
-        patch = buf.push(px)
-        if patch is not None:
-            yield patch
-
-
 def patch_matrix(img: ImageStream, kernel: int) -> np.ndarray:
-    """(H*W, kernel*kernel*channels) matrix of all patches."""
-    return np.stack(list(window_stream(img, kernel)))
+    """(H*W, kernel*kernel*channels) matrix of all zero-padded patches in
+    raster order: the patches a WindowBuffer emits, computed as one view."""
+    _check_window(img.width, img.height, kernel)
+    pad = kernel // 2
+    padded = np.pad(img.data, ((pad, pad), (pad, pad), (0, 0)))
+    windows = sliding_window_view(padded, (kernel, kernel), axis=(0, 1))  # (H, W, C, k, k)
+    return windows.transpose(0, 1, 3, 4, 2).reshape(img.height * img.width, -1)
 
 
 def max_pool(img: ImageStream, k: int, n: int) -> ImageStream:
@@ -151,13 +142,12 @@ def max_pool(img: ImageStream, k: int, n: int) -> ImageStream:
         raise ValueError("pool kernel and stride must be >= 1")
     if img.width % n or img.height % n:
         raise ValueError(f"image {img.width}x{img.height} not divisible by stride {n}")
-    oh, ow = img.height // n, img.width // n
-    out = np.zeros((oh, ow, img.channels), dtype=np.int64)
-    for i in range(oh):
-        for j in range(ow):
-            win = img.data[i * n : min(i * n + k, img.height), j * n : min(j * n + k, img.width)]
-            out[i, j] = win.reshape(-1, img.channels).max(axis=0)
-    return ImageStream(out, img.frac_bits)
+    # the last window reaches k - n past the edge; it holds its anchor pixel,
+    # so the pad value never wins
+    edge = max(k - n, 0)
+    padded = np.pad(img.data, ((0, edge), (0, edge), (0, 0)), constant_values=np.iinfo(np.int64).min)
+    windows = sliding_window_view(padded, (k, k), axis=(0, 1))[::n, ::n]  # (H/n, W/n, C, k, k)
+    return ImageStream(windows.max(axis=(3, 4)), img.frac_bits)
 
 
 def scale_shift(
@@ -179,6 +169,13 @@ def scale_shift(
     c_raw, b_raw = quantize(params.c, scale_fmt), quantize(params.b, act_fmt)
     if x.shape[-1] != len(params.c):
         raise ValueError(f"expected {len(params.c)} channels, got {x.shape[-1]}")
+    # per channel, in Python ints: the largest |c*x| plus the rounding half,
+    # and the rounded quotient plus |b|, must stay inside int64
+    rows = x.reshape(-1, x.shape[-1])
+    peak = np.maximum(-rows.min(axis=0, initial=0).astype(object), rows.max(axis=0, initial=0).astype(object))
+    rounded = peak * np.abs(c_raw.astype(object)) + (scale_fmt.scale >> 1)
+    if np.maximum(rounded, (rounded >> scale_fmt.frac_bits) + np.abs(b_raw.astype(object))).max() >= 1 << 63:
+        raise ValueError(f"scale-shift by {scale_fmt} constants and {act_fmt} shifts overflows int64")
     y = saturate(shift_right_round(x * c_raw, scale_fmt.frac_bits) + b_raw, act_fmt, counter)
     if act == "ReLU":
         y = np.maximum(y, 0)
@@ -325,7 +322,7 @@ def throughput_model(net: NetworkSpec) -> ThroughputReport:
                 values, cycles = 1, cycles // values
         elif kind == "Dense":
             lanes = values if flat and cycles == 1 else 1
-            latency += -(-layer.in_channels // lanes) + 1
+            latency += -(-layer.weight_shape[1] // lanes) + 1
             width, chans, values, cycles, flat = 1, layer.filters, layer.filters, period, True
         blocks.append(BlockRate(idx, kind, width, chans, values, cycles))
     fps = Fraction(int(net.clock_hz), period)

@@ -242,7 +242,7 @@ def test_c08_buffer_trace_and_patch_oracle():
     with report("C8 line-buffer trace and patch stream", 5.0):
         img = ImageStream(np.arange(36).reshape(6, 6, 1))
         buf = WindowBuffer(6, 6, 1, 3)
-        pixels = list(img.pixels())
+        pixels = list(img.data.reshape(-1, img.channels))
         taps = {}
         for n in range(buf.total_pushes()):
             px = pixels[n] if n < 36 else np.zeros(1, dtype=np.int64)

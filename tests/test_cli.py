@@ -28,6 +28,7 @@ from ternroll.cli import main
 from ternroll.matrices import FloatMatrix, dump_fmx, dump_tmx, load_tmx, random_ternary
 from ternroll.cse import CseResult, parse_cse
 from ternroll.expressions import Expression
+from ternroll.fixedpoint import FixedPointFormat
 from ternroll import netlist
 from ternroll.network import ACTIVATIONS, LayerSpec, NetworkSpec, save_network
 from ternroll.pipeline import dump_img
@@ -445,6 +446,15 @@ def test_simulate_image_of_other_fraction_bits_exits_2(tmp_path, capsys, rng):
     assert main(["simulate", net_path, img_path, "--weights", str(wdir)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "fraction bits" in err
+
+
+def test_simulate_scale_shift_past_int64_exits_2(tmp_path, capsys, rng):
+    net_path, wdir, img_path = _tiny_network_files(tmp_path, rng)
+    net = tiny_net()
+    save_network(NetworkSpec(net.layers, net.clock_hz, net.act_format, FixedPointFormat(64, 62)), net_path)
+    assert main(["simulate", net_path, img_path, "--weights", str(wdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Q2.62" in err and "int64" in err
 
 
 def test_report_throughput_rejects_infinite_clock(capsys):

@@ -201,3 +201,27 @@ def test_scale_shift_error_bound(x_raw, c, b):
         # half an lsb of their formats
         bound = 2.0**-4 + abs(x_raw / 16.0) * 2.0**-6
         assert abs(y / 16.0 - exact) <= bound + 1e-9
+
+
+@pytest.mark.parametrize(
+    "xs, fmt",
+    # 16 * 1.5 in Q2.62 is 1.5 * 2**66, which an int64 product wraps to 0;
+    # 85 * 1.5 in Q8.56 is 255 * 2**55, and adding the rounding half 2**55 makes 2**63
+    [([16, 32], FixedPointFormat(64, 62)), ([85, -85], FixedPointFormat(64, 56))],
+)
+def test_scale_shift_refuses_results_past_int64(xs, fmt):
+    with pytest.raises(ValueError, match=rf"{fmt} .*Q12\.4.*int64"):
+        scale_shift(xs, ScaleShiftParams((1.5, 1.5), (0, 0)), scale_fmt=fmt)
+
+
+def test_scale_shift_just_inside_int64():
+    # in Q8.56, 84 * 1.5 is 252 * 2**55; with the rounding half, 253 * 2**55 < 2**63
+    fmt = FixedPointFormat(64, 56)
+    params = ScaleShiftParams((1.5, -1.5), (-3.0, 2.0))
+    xs = [84, -84]
+    want = []
+    for x, c, b in zip(xs, params.c, params.b):
+        p = x * int(c * fmt.scale)
+        q = (abs(p) + (fmt.scale >> 1)) >> fmt.frac_bits
+        want.append(saturate_ref((q if p >= 0 else -q) + int(b * ACT_FORMAT.scale), ACT_FORMAT))
+    assert scale_shift(xs, params, scale_fmt=fmt).tolist() == want == [78, 158]

@@ -25,7 +25,6 @@ from ternroll import (
     simulate,
     throughput_model,
     vgg7_cifar10,
-    window_stream,
 )
 from ternroll.matrices import random_ternary
 from ternroll.pipeline import (
@@ -37,7 +36,7 @@ from ternroll.pipeline import (
     patch_matrix,
 )
 
-from . import straightline_ref
+from . import pipeline_ref, straightline_ref
 
 
 def gather_oracle(img: ImageStream, kernel: int) -> np.ndarray:
@@ -62,7 +61,7 @@ def gather_oracle(img: ImageStream, kernel: int) -> np.ndarray:
 def test_column_taps_at_pixel_27():
     img = ImageStream(np.arange(36).reshape(6, 6, 1))
     buf = WindowBuffer(6, 6, 1, 3)
-    pixels = list(img.pixels())
+    pixels = list(img.data.reshape(-1, img.channels))
     taps = {}
     for n in range(buf.total_pushes()):
         px = pixels[n] if n < 36 else np.zeros(1, dtype=np.int64)
@@ -74,7 +73,7 @@ def test_column_taps_at_pixel_27():
 def test_one_patch_per_cycle_after_warmup():
     img = ImageStream(np.arange(36).reshape(6, 6, 1))
     buf = WindowBuffer(6, 6, 1, 3)
-    pixels = list(img.pixels())
+    pixels = list(img.data.reshape(-1, img.channels))
     emitted = []
     for n in range(buf.total_pushes()):
         px = pixels[n] if n < 36 else np.zeros(1, dtype=np.int64)
@@ -90,9 +89,7 @@ def test_patches_match_gather_oracle(rng):
 
 def test_1x1_kernel_patches_are_pixels(rng):
     img = ImageStream(rng.integers(-10, 10, size=(5, 5, 2)))
-    patches = list(window_stream(img, 1))
-    for patch, px in zip(patches, img.pixels()):
-        assert np.array_equal(patch, px)
+    assert np.array_equal(patch_matrix(img, 1), img.data.reshape(-1, img.channels))
 
 
 def test_window_rejects_even_or_oversize_kernel():
@@ -100,13 +97,30 @@ def test_window_rejects_even_or_oversize_kernel():
         WindowBuffer(6, 6, 1, 2)
     with pytest.raises(ValueError):
         WindowBuffer(2, 2, 1, 3)
+    with pytest.raises(ValueError, match="must be odd"):
+        patch_matrix(ImageStream(np.zeros((6, 6, 1))), 2)
+    with pytest.raises(ValueError, match="exceeds image 2x4"):
+        patch_matrix(ImageStream(np.zeros((4, 2, 1))), 3)
 
 
 def test_patch_layout_row_col_channel():
     img = ImageStream(np.arange(18).reshape(3, 3, 2))
     # centre patch of a 3x3 image covers the whole image in (q, r, ch) order
-    patches = list(window_stream(img, 3))
-    assert patches[4].tolist() == list(range(18))
+    assert patch_matrix(img, 3)[4].tolist() == list(range(18))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(1, 3),
+    st.sampled_from([1, 3, 5, 7, 9]),
+    st.integers(0, 2**32 - 1),
+)
+def test_line_buffer_emits_the_patch_matrix(h, w, c, k, seed):
+    k = min(k, (min(h, w) - 1) | 1)  # clamped to the largest odd kernel that fits
+    img = ImageStream(np.random.default_rng(seed).integers(-(2**15), 2**15, size=(h, w, c)))
+    assert np.array_equal(np.stack(list(pipeline_ref.window_stream(img, k))), patch_matrix(img, k))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +147,21 @@ def test_pool_matches_direct_oracle(rng):
             for ch in range(2):
                 want = img.data[2 * i : 2 * i + 2, 2 * j : 2 * j + 2, ch].max()
                 assert out.data[i, j, ch] == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_pool_matches_per_pixel_loop(k, n, oh, ow, c, seed):
+    # k > n overlaps windows and truncates the last ones at the edge; k < n skips pixels
+    img = ImageStream(np.random.default_rng(seed).integers(-(2**15), 2**15, size=(oh * n, ow * n, c)))
+    assert np.array_equal(max_pool(img, k, n).data, pipeline_ref.max_pool(img, k, n))
 
 
 def test_pool_requires_divisible_stride(rng):
@@ -417,10 +446,10 @@ def test_doubling_width_quarters_fps():
 
 def test_image_side_dense_takes_one_input_a_cycle():
     # two values a cycle arrive, but a Dense fed by the image side is charged
-    # in_channels + 1 cycles, as if it took one input a cycle
+    # one cycle for each of its 3*3*2 matrix columns, plus one
     net = NetworkSpec((LayerSpec("Conv", 3, 1, kernel=1, filters=2), LayerSpec("Dense", 3, 2, filters=2)))
     assert [(b.values, b.cycles) for b in throughput_model(net).blocks] == [(2, 1), (2, 9)]
-    assert throughput_model(net).latency_cycles == 3
+    assert throughput_model(net).latency_cycles == 19
 
 
 def test_latency_positive_and_fifo_reported():

@@ -32,8 +32,8 @@ def _wide_net() -> NetworkSpec:
 
 
 def _dense_on_image_net() -> NetworkSpec:
-    # the Dense takes the pooled 2x2x3 image without a flattening Mux; the
-    # vector side then runs every pass-through kind
+    # the Dense takes the pooled 2x2x3 image without a flattening Mux, one of
+    # its 12 inputs a cycle; the vector side then runs every pass-through kind
     return NetworkSpec(
         (
             LayerSpec("Buffer", 6, 2, kernel=3),
@@ -171,7 +171,7 @@ GOLDEN = {
             (8, "Mux", 1, 5, 5, 36),
             (9, "Dense", 1, 2, 2, 36),
         ),
-        67,
+        76,
         {3: 6, 6: 5},
         Fraction(250000, 3),
     ),
