@@ -68,8 +68,23 @@ class TernaryMatrix:
         return float(np.count_nonzero(self.entries == 0)) / (self.rows * self.cols)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Exact integer product entries @ x (wide accumulation)."""
-        return self.entries.astype(np.int64) @ np.asarray(x, dtype=np.int64)
+        """Exact integer product entries @ x, as int64.
+
+        Every partial sum of a row, in any order, is an integer no larger
+        than B = (most nonzeros in a row) * max|x|. Below 2^53 float64
+        represents all of them, so BLAS computes the product exactly; below
+        2^63 int64 does. Past that the sum could wrap: ValueError.
+        """
+        x = np.asarray(x, dtype=np.int64)
+        peak = max(-int(x.min(initial=0)), int(x.max(initial=0)))
+        bound = int(np.count_nonzero(self.entries, axis=1).max()) * peak
+        if bound < 1 << 53:
+            return (self.entries.astype(np.float64) @ x.astype(np.float64)).astype(np.int64)
+        if bound < 1 << 63:
+            return self.entries.astype(np.int64) @ x
+        raise ValueError(
+            f"{self.rows}x{self.cols} product with |x| up to {peak} can reach {bound}, past int64"
+        )
 
 
 @dataclass(frozen=True)

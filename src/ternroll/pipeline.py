@@ -203,7 +203,8 @@ def simulate(
 
     ``weights`` maps layer index to a TernaryMatrix (Conv/Dense) or
     ScaleShiftParams (ScaleShift). Classification is the argmax of the final
-    output, lowest index on ties.
+    output, lowest index on ties. A Conv/Dense sum that could leave int64 is
+    refused with a ValueError naming the layer.
     """
     net.validate()
     if counter is None:
@@ -232,10 +233,14 @@ def simulate(
                     f"layer {idx}: {kind.lower()} weights are {t.rows}x{t.cols}, layer needs {rows}x{cols}"
                 )
             if kind == "Conv":
-                patches = patch_matrix(ImageStream(x, act.frac_bits), layer.kernel)
-                x = t.matvec(patches.T).T.reshape(x.shape[0], x.shape[1], rows)
+                inputs = patch_matrix(ImageStream(x, act.frac_bits), layer.kernel).T
             else:
-                x = t.matvec(x.reshape(-1))
+                inputs = x.reshape(-1)
+            try:
+                sums = t.matvec(inputs)
+            except ValueError as e:
+                raise ValueError(f"layer {idx}: {kind.lower()} {e}") from e
+            x = sums.T.reshape(x.shape[0], x.shape[1], rows) if kind == "Conv" else sums
             following = net.layers[idx + 1].kind if idx + 1 < len(net.layers) else None
             if following != "ScaleShift":
                 x = saturate(x, act, counter)

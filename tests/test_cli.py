@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import ternroll
 from ternroll import (
     ImageStream,
+    TernaryMatrix,
     build_tree,
     evaluate,
     schedule_serial,
@@ -455,6 +456,26 @@ def test_simulate_scale_shift_past_int64_exits_2(tmp_path, capsys, rng):
     assert main(["simulate", net_path, img_path, "--weights", str(wdir)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Q2.62" in err and "int64" in err
+
+
+def test_simulate_conv_sum_past_int64_exits_2(tmp_path, capsys):
+    # a scale-shift lifts 16-bit pixels to 2^62; the conv's 2^62 + 2^62 would wrap
+    net = NetworkSpec(
+        (LayerSpec("ScaleShift", 1, 2), LayerSpec("Conv", 1, 2, kernel=1, filters=1)),
+        1e8,
+        FixedPointFormat(64, 4),
+        FixedPointFormat(64, 0),
+    )
+    net_path, img_path, wdir = tmp_path / "net.json", tmp_path / "img.txt", tmp_path / "weights"
+    save_network(net, str(net_path))
+    wdir.mkdir()
+    (wdir / "layer00.json").write_text(json.dumps({"c": [2.0**48] * 2, "b": [0.0] * 2}))
+    dump_tmx(TernaryMatrix(np.array([[1, 1]], dtype=np.int8)), str(wdir / "layer01.tmx"))
+    dump_img(ImageStream(np.full((1, 1, 2), 2**14)), str(img_path))
+    assert main(["simulate", str(net_path), str(img_path), "--weights", str(wdir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "layer 1: conv 1x2" in err and "int64" in err
 
 
 def test_report_throughput_rejects_infinite_clock(capsys):

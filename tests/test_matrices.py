@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ternroll.matrices import (
     FloatMatrix,
@@ -144,3 +145,45 @@ def test_matvec_exact(rng):
     m = random_ternary(6, 9, 0.4, rng)
     x = rng.integers(-(2**15), 2**15, size=9)
     assert np.array_equal(m.matvec(x), m.entries.astype(np.int64) @ x)
+
+
+INT64_MAX = (1 << 63) - 1
+
+
+@st.composite
+def _matvec_cases(draw):
+    """A trit matrix and an int64 x whose bound B = (most nonzeros in a row)
+    * max|x| lands just below or above 2^53 or 2^63, or whose peak is an
+    int64 extreme."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    entries = draw(hnp.arrays(np.int8, (rows, cols), elements=st.integers(-1, 1)))
+    per_row = np.count_nonzero(entries, axis=1)
+    nnz = max(1, int(per_row.max()))
+    near = st.builds(lambda t, d: t // nnz + d, st.sampled_from((1 << 53, 1 << 63)), st.integers(-2, 2))
+    peak = min(draw(near | st.sampled_from((INT64_MAX, 1 << 63))), 1 << 63)  # 2^63: int64 min
+    shape = draw(st.sampled_from(((cols,), (cols, 1), (cols, 3))))
+    small = min(peak, INT64_MAX)
+    x = draw(hnp.arrays(np.int64, shape, elements=st.integers(-small, small))).astype(object)
+    if draw(st.booleans()):
+        # signs follow the fullest row, so its sum nears B with low bits set
+        row = entries[int(per_row.argmax())].astype(object)
+        offsets = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 3))).astype(object)
+        x = (row * (small - offsets).T).T
+    spot = draw(st.integers(0, x.size - 1))
+    x.flat[spot] = -peak if peak > INT64_MAX else draw(st.sampled_from((peak, -peak)))
+    return TernaryMatrix(entries), np.array(x, dtype=np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_matvec_cases())
+def test_matvec_equals_python_int_product_or_refuses(case):
+    m, x = case
+    peak = max(-int(x.min()), int(x.max()))
+    bound = int(np.count_nonzero(m.entries, axis=1).max()) * peak
+    if bound >= 1 << 63:
+        with pytest.raises(ValueError, match=rf"{m.rows}x{m.cols} product .*{bound}"):
+            m.matvec(x)
+        return
+    got = m.matvec(x)
+    assert got.dtype == np.int64
+    assert got.tolist() == (m.entries.astype(object) @ x.astype(object)).tolist()

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternroll import (
+    FixedPointFormat,
+    FloatMatrix,
     ImageStream,
     LayerSpec,
     NetworkSpec,
@@ -23,6 +25,7 @@ from ternroll import (
     op_count,
     scale_shift,
     simulate,
+    ternarize,
     throughput_model,
     vgg7_cifar10,
 )
@@ -394,6 +397,39 @@ def test_full_vgg7_simulate_with_patchwise_oracle(rng):
     tree_out = evaluate_batch(g, patches.T.astype(np.int64)).T
     direct = patches @ weights[1].entries.astype(np.int64).T
     assert np.array_equal(tree_out, direct)
+
+
+def _int64_matvec(self, x):
+    """The reference product: entries @ x accumulated in int64."""
+    return self.entries.astype(np.int64) @ np.asarray(x, dtype=np.int64)
+
+
+def test_vgg7_simulate_equals_the_int64_product(monkeypatch):
+    # VGG-7's shapes reach the blocked BLAS kernels that small matrices do not
+    net = vgg7_cifar10()
+    rng = np.random.default_rng(12)
+    weights = {}
+    for idx, layer in enumerate(net.layers):
+        if layer.kind in ("Conv", "Dense"):
+            w = FloatMatrix(rng.standard_normal(layer.weight_shape))
+            weights[idx], _ = ternarize(w, layer.epsilon)
+        elif layer.kind == "ScaleShift":
+            t = weights[idx - 1]
+            c = 1.5 / np.sqrt(np.count_nonzero(t.entries) / t.rows) * rng.uniform(0.75, 1.25, t.rows)
+            weights[idx] = ScaleShiftParams(tuple(c), tuple(rng.uniform(-0.5, 0.5, t.rows)))
+    images = [ImageStream(rng.integers(-amp, amp, size=(32, 32, 3))) for amp in (256, 2**15)]
+    got = [simulate(net, weights, img) for img in images]
+    monkeypatch.setattr(TernaryMatrix, "matvec", _int64_matvec)
+    assert got == [simulate(net, weights, img) for img in images]
+    assert got[0].saturations == 0 < got[1].saturations
+
+
+def test_simulate_refuses_a_conv_sum_past_int64():
+    # 2^62 + 2^62 wraps to the int64 minimum, which saturation cannot undo
+    net = NetworkSpec((LayerSpec("Conv", 1, 2, kernel=1, filters=1),), 1e8, FixedPointFormat(64, 4))
+    weights = {0: TernaryMatrix(np.array([[1, 1]], dtype=np.int8))}
+    with pytest.raises(ValueError, match=rf"layer 0: conv 1x2 product .*{2**63}, past int64"):
+        simulate(net, weights, ImageStream(np.full((1, 1, 2), 2**62)))
 
 
 def test_argmax_ignores_monotone_softmax(rng):
