@@ -61,7 +61,13 @@ def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = Non
     """Clamp integers (or integer-valued floats) to the format as int64 raw
     values, counting the values clamped."""
     raw = np.asarray(raw)
-    high, low = raw >= -fmt.raw_min, raw < fmt.raw_min  # both bounds exact in float64
+    if raw.dtype.kind == "i":
+        raw = raw.astype(np.int64, copy=False)
+        out = np.clip(raw, fmt.raw_min, fmt.raw_max, out=np.empty_like(raw))  # in raw's memory order
+        if counter is not None:
+            counter.hit(int(np.count_nonzero(out != raw)))
+        return out
+    high, low = raw >= -fmt.raw_min, raw < fmt.raw_min  # both bounds exact in float64, unlike raw_max
     if counter is not None:
         counter.hit(int(np.count_nonzero(high | low)))
     out = np.where(high | low, 0, raw).astype(np.int64)

@@ -11,8 +11,8 @@ distinct node kind.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -34,10 +34,12 @@ class AdderGraph:
     Node ``i`` has kind code ``kind[i]`` (an index into ``KINDS``), pipeline
     stage ``stage[i]`` and the signed operands ``operand_node[j]``,
     ``operand_sign[j]`` for ``j`` in ``operand_start[i]:operand_start[i + 1]``.
-    The arrays are read-only. The inputs and outputs are the ``IN`` and
-    ``OUT`` nodes in id order. ``digits`` is the serial schedule: 1 means
-    fully parallel words, D > 1 means each sample is processed as D digits of
-    ``digit_width`` bits. Evaluation semantics are independent of the schedule.
+    The arrays are read-only: one given read-only, of its field's dtype and
+    owning its data is kept as it is, anything else is copied. The inputs
+    and outputs are the ``IN`` and ``OUT`` nodes in id order. ``digits`` is
+    the serial schedule: 1 means fully parallel words, D > 1 means each
+    sample is processed as D digits of ``digit_width`` bits. Evaluation
+    semantics are independent of the schedule.
     """
 
     kind: np.ndarray = ()
@@ -52,8 +54,10 @@ class AdderGraph:
 
     def __post_init__(self) -> None:
         for field, dtype in _ARRAYS.items():
-            a = np.array(getattr(self, field), dtype=dtype)
-            a.flags.writeable = False
+            a = getattr(self, field)
+            if not (isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable and a.base is None):
+                a = np.array(a, dtype=dtype)  # a copy the caller cannot write to
+                a.flags.writeable = False
             object.__setattr__(self, field, a)
 
     def __eq__(self, other) -> bool:
@@ -87,66 +91,6 @@ class CostReport:
     depth: int
 
 
-class _Builder:
-    """Appends nodes to flat arrays; shares one delay chain per source node."""
-
-    def __init__(self) -> None:
-        self.kind, self.stage = array("b"), array("q")
-        self.start, self.node, self.sign = array("q", [0]), array("q"), array("b")
-        self._delay_of: dict[int, int] = {}  # source node id -> its delay node id
-
-    def new(self, kind: int, stage: int, nodes=(), signs=()) -> int:
-        self.kind.append(kind)
-        self.stage.append(stage)
-        self.node.extend(nodes)
-        self.sign.extend(signs)
-        self.start.append(len(self.node))
-        return len(self.kind) - 1
-
-    def delayed(self, nid: int, target_stage: int) -> int:
-        while self.stage[nid] < target_stage:
-            got = self._delay_of.get(nid)
-            if got is None:
-                got = self._delay_of[nid] = self.new(DELAY, self.stage[nid] + 1, (nid,), (1,))
-            nid = got
-        return nid
-
-
-def _pack(b: _Builder, nids: list[int], signs: list[int], arity: int) -> tuple[int, int]:
-    """Reduce signed nodes to a single root; returns (node, sign).
-
-    Earliest-ready values are combined first (canonical term order breaks
-    stage ties), so values that become ready together merge without padding
-    and a deep shared definition joins the tree near its own stage instead of
-    dragging a delay chain behind every shallow term. Each add is at least as
-    deep as the last, so the adds form a second stage-ordered queue beside
-    the terms; at equal stages a term is taken first.
-    """
-    stage = b.stage
-    order = sorted(range(len(nids)), key=lambda k: stage[nids[k]])  # stable
-    qn, qs = [nids[k] for k in order], [signs[k] for k in order]
-    n = len(qn)
-    made: list[int] = []
-    i = j = 0
-    for left in range(n, 1, 1 - arity):
-        ops, sgs = [], []
-        for _ in range(arity if left >= arity else left):
-            if j < len(made) and (i == n or stage[made[j]] < stage[qn[i]]):
-                ops.append(made[j])
-                sgs.append(1)
-                j += 1
-            else:
-                ops.append(qn[i])
-                sgs.append(qs[i])
-                i += 1
-        smax = stage[ops[-1]]
-        for k in range(len(ops) - 1):
-            if stage[ops[k]] < smax:
-                ops[k] = b.delayed(ops[k], smax)
-        made.append(b.new(ADD, smax + 1, ops, sgs))
-    return (qn[i], qs[i]) if j == len(made) else (made[j], 1)
-
-
 def build_tree(
     result: CseResult,
     arity: int = 2,
@@ -156,33 +100,251 @@ def build_tree(
 ) -> AdderGraph:
     """Pack a CSE result into a pipelined adder graph.
 
-    Definitions are built first, in order, and fanned out to consumers.
-    With ``align_outputs`` every output is padded with delay registers to the
-    stage of the deepest one, so the whole vector leaves in the same cycle.
+    Each definition, in order, then each non-empty output is packed (see
+    ``_merge``); a one-term sum passes its term through. An operand below
+    its add's stage passes through delay registers, one chain per source
+    node shared by every consumer. With ``align_outputs`` every output is
+    padded with delays to the stage of the deepest one, so the whole vector
+    leaves in the same cycle.
+
+    Sums are packed a dependency wave at a time: a definition's wave is one
+    more than the deepest definition it reads, and the outputs come last.
+    Node ids are the order of creation when sums are packed one by one:
+    the inputs; per add, the new delays of each operand slot, then the add;
+    per output, its new delays, then the output node.
     """
     if arity not in (2, 3):
         raise ValueError(f"adder arity must be 2 or 3, got {arity}")
-    b = _Builder()
-    env = {i: (b.new(IN, 0), 1) for i in range(result.n_inputs)}  # variable -> (node, sign)
-
-    def pack(terms) -> tuple[int, int]:
-        return _pack(b, [env[v][0] for v, _ in terms], [s * env[v][1] for v, s in terms], arity)
-
-    for d in result.definitions:
-        assert d.id is not None
-        env[d.id] = pack(d.terms)
-    roots = [pack(e.terms) if e.terms else None for e in result.outputs]
-    target = max((b.stage[r[0]] for r in roots if r is not None), default=0) if align_outputs else 0
-    for r in roots:
-        if r is None:
-            b.new(OUT, target)
-        else:
-            nid = b.delayed(r[0], target) if align_outputs else r[0]
-            b.new(OUT, b.stage[nid], (nid,), (r[1],))
-    g = AdderGraph(b.kind, b.stage, b.start, b.node, b.sign,
-                   outputs_aligned=align_outputs, name=name)
+    g = AdderGraph(*_build(result, arity, align_outputs), outputs_aligned=align_outputs, name=name)
     validate_graph(g)
     return g
+
+
+def _build(result: CseResult, arity: int, align_outputs: bool) -> tuple[np.ndarray, ...]:
+    """The read-only node arrays of ``build_tree``'s graph."""
+    n_in, n_defs, n_out = result.n_inputs, len(result.definitions), len(result.outputs)
+    sums = result.definitions + tuple(e for e in result.outputs if e.terms)
+    n = np.fromiter(map(len, sums), np.int64, len(sums))
+    flat = chain.from_iterable(chain.from_iterable(e.terms for e in sums))
+    terms = np.fromiter(flat, np.int64, 2 * int(n.sum()))
+    val = _values(terms[0::2], n, result)
+    sign = terms[1::2].astype(np.int8)
+    del terms
+    adds = n - 1 if arity == 2 else n // 2
+    first_term, first_add = np.cumsum(n) - n, np.cumsum(adds) - adds
+    op_first = first_term + first_add - np.arange(len(n))  # a sum's adds have n + adds - 1 operands
+    sizes = np.full(int(adds.sum()), arity, np.int8)  # operands of each add, in creation order
+    if arity == 3:
+        sizes[(first_add + adds - 1)[(n % 2 == 0) & (adds > 0)]] = 2
+    n_adds, n_ops = len(sizes), int(sizes.sum())
+    # a value is an input or a sum (value n_in + j): its root node, sign and stage
+    v_node = np.arange(n_in + len(sums), dtype=np.int32)  # provisional ids: inputs, then adds in creation order
+    v_sign = np.ones(n_in + len(sums), np.int8)
+    v_stage = np.zeros(n_in + len(sums), np.int32)
+    # the adds' operands in creation order, then the outputs', then a spare slot for roots
+    op_node = np.empty(n_ops + n_out + 1, np.int32)
+    op_sign = np.empty(n_ops + n_out + 1, np.int8)
+    add_stage = np.zeros(n_adds + 1, np.int32)  # and a spare add for roots, at stage 0: they are never late
+    late = []  # operands below their add's stage: (node, stage, target, key, slot in op_node)
+
+    def place(owner, pos, node, sgn, stg) -> None:
+        """Put items (terms or adds) in the operand slots of the adds that
+        take them. The one item of a sum that no add takes is its root."""
+        root = pos == n[owner] + adds[owner] - 1
+        v = n_in + owner[root]
+        v_node[v], v_sign[v], v_stage[v] = node[root], sgn[root], stg[root]
+        slot = np.where(root, len(op_node) - 1, op_first[owner] + pos)
+        op_node[slot], op_sign[slot] = node, sgn
+        add = np.where(root, n_adds, first_add[owner] + pos // arity)
+        target = add_stage[add] - 1
+        low = np.flatnonzero(stg < target)
+        late.append((node[low], stg[low], target[low], 4 * add[low] + pos[low] % arity, slot[low]))
+
+    def pack(s: np.ndarray) -> None:
+        """Pack the sums ``s``, whose terms' values are all known."""
+        t = _ranges(first_term[s], n[s])
+        v = val[t]
+        stg = v_stage[v]
+        pos, a_stage, a_pos = _merge(n[s], stg, arity)
+        g = _ranges(first_add[s], adds[s])
+        add_stage[g] = a_stage
+        place(np.repeat(s, n[s]), pos, v_node[v], sign[t] * v_sign[v], stg)
+        del t, v, stg, pos
+        place(np.repeat(s, adds[s]), a_pos, n_in + g, np.ones(len(g), np.int8), a_stage)
+
+    wave = _waves(val, n, n_in, n_defs)
+    for w in range(1, int(wave.max(initial=0)) + 1):
+        pack(np.flatnonzero(wave == w))
+    has = np.fromiter((bool(e.terms) for e in result.outputs), bool, n_out)
+    o = np.flatnonzero(has)
+    r = n_in + n_defs + np.arange(len(o))  # the values of the non-empty outputs
+    out_stage = np.full(n_out, v_stage[r].max(initial=0) if align_outputs else 0, np.int64)
+    if not align_outputs:
+        out_stage[o] = v_stage[r]
+    op_node[n_ops + o], op_sign[n_ops + o] = v_node[r], v_sign[r]
+    low = out_stage[o] > v_stage[r]
+    late.append((v_node[r][low], v_stage[r][low], out_stage[o][low], 4 * (n_adds + o[low]), n_ops + o[low]))
+    del val, sign, v_node, v_sign, v_stage, r  # not kept while the graph's arrays are laid out
+    delays = _delays(*(np.concatenate(x) for x in zip(*late)), n_in + n_adds, op_node)
+    del late
+    return _assemble(n_in, sizes, add_stage[:-1], op_node, op_sign, *delays, out_stage, has)
+
+
+def _assemble(n_in, sizes, add_stage, op_node, op_sign, d_node, d_stage, d_key, out_stage, has):
+    """Number the nodes in creation order and lay out their arrays.
+
+    The adds' operands (``sizes`` each) come in creation order in
+    ``op_node``/``op_sign``, then one per output, all as provisional ids:
+    inputs, adds, then delays. A delay has key 4u + slot when made for an
+    operand slot of add u, and 4(adds + o) for output o; it follows the
+    delays of smaller keys and the adds and outputs (keys 4u + 3 and
+    4(adds + o) + 1) below it.
+    """
+    n_adds, n_ops, n_out = len(sizes), int(sizes.sum()), len(has)
+    by_key = np.argsort(d_key, kind="stable")
+    d_id = np.empty(len(d_key), np.int64)
+    d_id[by_key] = np.arange(len(d_key))
+    d_id += n_in + d_key // 4
+    unit = np.arange(n_adds + n_out)
+    u_id = n_in + unit + np.searchsorted(d_key[by_key], 4 * unit + np.where(unit < n_adds, 3, 1))
+    del by_key, unit
+    add_id, out_id = u_id[:n_adds], u_id[n_adds:]
+    total = n_in + len(u_id) + len(d_id)
+    kind = np.full(total, IN, np.int8)
+    stage = np.zeros(total, np.int64)
+    start = np.zeros(total + 1, np.int64)
+    for ids, k, st, count in (
+        (add_id, ADD, add_stage, sizes),
+        (d_id, DELAY, d_stage, 1),
+        (out_id, OUT, out_stage, has),
+    ):
+        kind[ids], stage[ids], start[ids + 1] = k, st, count
+    np.cumsum(start, out=start)
+    fin = np.concatenate([np.arange(n_in), add_id, d_id])  # provisional id -> final id
+    node = np.empty(start[-1], np.int64)
+    sign = np.empty(start[-1], np.int8)
+    at = np.repeat(add_id - n_in - np.arange(n_adds), sizes)  # the delays before each add shift its operands
+    at += np.arange(n_ops)
+    node[at], sign[at] = fin[op_node[:n_ops]], op_sign[:n_ops]
+    node[start[d_id]], sign[start[d_id]] = fin[d_node], 1
+    o = np.flatnonzero(has)
+    node[start[out_id[o]]], sign[start[out_id[o]]] = fin[op_node[n_ops + o]], op_sign[n_ops + o]
+    for a in (kind, stage, start, node, sign):
+        a.flags.writeable = False
+    return kind, stage, start, node, sign
+
+
+def _values(var: np.ndarray, n: np.ndarray, result: CseResult) -> np.ndarray:
+    """Each term's value: input i is value i, definition j is n_inputs + j."""
+    n_in, defs = result.n_inputs, result.definitions
+    ids = np.fromiter((d.id for d in defs), np.int64, len(defs))
+    val = var.copy()
+    val[var >= n_in] = np.iinfo(np.int64).max  # undefined, unless a definition has the id
+    if len(ids):
+        order = np.argsort(ids)
+        at = np.minimum(np.searchsorted(ids[order], var), len(ids) - 1)
+        defined = (var >= n_in) & (ids[order][at] == var)
+        val[defined] = n_in + order[at[defined]]
+    # a definition reads inputs and earlier definitions, an output any of them
+    bound = n_in + np.minimum(np.repeat(np.arange(len(n)), n), len(ids))
+    fresh = (ids >= n_in).all() and len(np.unique(ids)) == len(ids)
+    if not fresh or (n[: len(ids)] == 0).any() or (val >= bound).any():
+        raise ValueError("each definition needs a fresh id, and terms that read inputs and earlier definitions")
+    return val.astype(np.int32)
+
+
+def _waves(val: np.ndarray, n: np.ndarray, n_in: int, n_defs: int) -> np.ndarray:
+    """Each sum's dependency wave: a definition's is one more than the
+    deepest definition it reads (inputs are wave 0); the outputs come last."""
+    wave = np.zeros(n_in + len(n), np.int64)  # by value
+    if n_defs:
+        reads, starts = val[: n[:n_defs].sum()], np.cumsum(n[:n_defs]) - n[:n_defs]
+        while not np.array_equal(w := np.maximum.reduceat(wave[reads], starts) + 1, wave[n_in : n_in + n_defs]):
+            wave[n_in : n_in + n_defs] = w
+    wave[n_in + n_defs :] = wave.max() + 1
+    return wave[n_in:]
+
+
+def _delays(node, stage, target, key, slot, first_id: int, op_node: np.ndarray):
+    """Delay chains for operands below their add's stage.
+
+    Each request asks for ``node``, at ``stage``, to be delayed to
+    ``target``, and has the creation ``key`` of its operand slot. A source
+    node gets one chain, up to the highest target asked of it, and the delay
+    of stage t is made by the request of smallest key that reaches t. Points
+    each request's ``slot`` of ``op_node`` at its chain's delay of the target
+    stage, and returns each delay's operand, stage and key. Delays are
+    numbered from ``first_id``, chain by chain.
+    """
+    order = np.lexsort((key, node))
+    node, stage, target, key, slot = (a[order] for a in (node, stage, target, key, slot))
+    first = np.ones(len(node), bool)  # a source's first request
+    first[1:] = node[1:] != node[:-1]
+    lift = (np.cumsum(first) - 1) * (int(target.max(initial=0)) + 1)
+    done = np.where(first, stage, np.roll(np.maximum.accumulate(target + lift) - lift, 1))  # delayed so far
+    new = np.maximum(target - done, 0)
+    base = np.cumsum(new) - new
+    op_node[slot] = first_id + base + target - done - 1
+    d_stage = _ranges(done + 1, new)
+    chained = first_id + np.arange(len(d_stage)) - 1  # the delay below
+    d_node = np.where(d_stage == np.repeat(stage, new) + 1, np.repeat(node, new), chained)
+    return d_node, d_stage, np.repeat(key, new)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i]:starts[i] + counts[i]``, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _merge(n: np.ndarray, stage: np.ndarray, arity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge positions of a wave of sums, all packed at once.
+
+    Sum j has ``n[j]`` terms, whose stages are listed sum by sum in canonical
+    order. A sum's items are merged by stage; at equal stage its terms come
+    first, in canonical order, then its adds in the order they are made. Add
+    k takes the items at positions arity·k onwards, arity of them or two when
+    only two are left, and sits one stage above the last. So the adds of
+    stage L are those whose last item lies below the items of stage L, and
+    one pass over the levels places them all. Returns each term's position,
+    and each add's stage and position, sum by sum.
+
+    Taking the earliest-ready items first means values that become ready
+    together merge without padding, and a deep shared definition joins the
+    tree near its own stage instead of dragging a delay chain behind every
+    shallow term.
+    """
+    m = len(n)
+    adds = n - 1 if arity == 2 else n // 2
+    root = n + adds - 1  # the position of the one item no add takes
+    lo = int(stage.min())
+    span = int(stage.max()) - lo + 1
+    owner = np.repeat(np.arange(m), n)
+    key = owner * span + (stage - lo)  # sum, then stage
+    # column c: each sum's terms of stage <= lo + c
+    terms_upto = np.cumsum(np.bincount(key, minlength=m * span).reshape(m, span), axis=1)
+    made = []  # row r: each sum's adds of stage <= lo + r
+    below = np.zeros(m, np.int64)  # each sum's items of stage < lo + len(made)
+    while True:
+        # add k's last item is at arity·k + arity - 1, but the last add's at root - 1
+        k = np.minimum(below // arity, adds - 1) + (below >= root)
+        made.append(k)
+        if len(made) >= span and np.array_equal(k, adds):
+            break
+        below = terms_upto[:, min(len(made), span) - 1] + k
+    made = np.array(made).T
+    made_below = np.hstack([np.zeros((m, 1), np.int64), made[:, :-1]])
+    per_level = (made - made_below).ravel()
+    # a term follows its sum's terms of lower stage or earlier order, and adds of lower stage
+    pos = np.empty(len(stage), np.int64)
+    pos[np.argsort(key, kind="stable")] = _ranges(np.zeros(m, np.int64), n)
+    pos += made_below[owner, stage - lo]
+    levels = np.arange(lo, lo + made.shape[1])
+    add_stage = np.repeat(np.tile(levels, m), per_level)
+    # an add follows its sum's earlier adds and terms of stage up to its own
+    add_pos = _ranges(np.zeros(m, np.int64), adds)
+    add_pos += np.repeat(terms_upto[:, np.minimum(levels - lo, span - 1)].ravel(), per_level)
+    return pos, add_stage, add_pos
 
 
 def validate_graph(g: AdderGraph) -> None:

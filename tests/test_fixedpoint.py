@@ -102,6 +102,15 @@ def test_saturate_counts_clamped_values():
     assert counter.count == 2
 
 
+def test_saturate_keeps_the_memory_order_of_an_integer_array():
+    # a conv layer's sums reach saturate transposed; a C-ordered copy of them
+    # slowed the layers that read it
+    x = (np.arange(-24, 24).reshape(6, 8) * 2000).T
+    out = saturate(x, ACT_FORMAT)
+    assert out.strides == x.strides
+    assert out.tolist() == np.clip(x, -32768, 32767).tolist()
+
+
 @st.composite
 def _formats(draw):
     total = draw(st.integers(2, 64))
@@ -127,6 +136,22 @@ def test_quantize_matches_scalar_reference(data):
     want_count, got_count = SaturationCounter(), SaturationCounter()
     want = [quantize_ref(x, fmt, want_count) for x in xs]
     got = quantize(np.array(xs, dtype=np.float64), fmt, got_count)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert got_count.count == want_count.count
+
+
+@given(st.data())
+def test_saturate_int64_matches_scalar_reference(data):
+    fmt = data.draw(_formats())
+    near = st.integers(-2, 2)
+    edges = st.sampled_from([fmt.raw_max, fmt.raw_min]).flatmap(lambda r: near.map(lambda d: r + d))
+    int64s = st.integers(-(2**63), 2**63 - 1)
+    extremes = st.sampled_from([-(2**63), 2**63 - 1])
+    raws = data.draw(st.lists(int64s | edges.filter(lambda v: -(2**63) <= v < 2**63) | extremes, max_size=20))
+    want_count, got_count = SaturationCounter(), SaturationCounter()
+    want = [saturate_ref(r, fmt, want_count) for r in raws]
+    got = saturate(np.array(raws, dtype=np.int64), fmt, got_count)
     assert got.dtype == np.int64
     assert got.tolist() == want
     assert got_count.count == want_count.count

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from ternroll import (
     td_cse,
     validate_graph,
 )
+from ternroll.cse import CseResult, parse_cse
+from ternroll.expressions import Expression
 from ternroll.matrices import random_ternary
 from ternroll.treegen import (
     ADD,
@@ -26,7 +30,8 @@ from ternroll.treegen import (
     area_slice_estimate,
 )
 
-from . import graph_ref
+from . import graph_ref, tree_ref
+from .test_netlist_golden import CORPUS
 
 
 def test_filter_tree_structure(filter_matrix):
@@ -144,6 +149,48 @@ def test_shared_definition_fanout_built_once(two_output_matrix):
     ]
     assert len(ef_adds) == 1
     assert np.count_nonzero(node == ef_adds[0]) == 2
+
+
+@pytest.mark.parametrize(
+    "defs, out",
+    [
+        ([(2, ((2, 1),))], ((0, 1),)),
+        ([(2, ((3, 1),)), (3, ((0, 1), (1, 1)))], ((2, 1),)),
+        ([(2, ((0, 1), (1, 1)))], ((4, 1),)),
+        ([(2, ((0, 1),)), (2, ((1, 1),))], ((2, 1),)),
+        ([(1, ((0, 1),))], ((1, 1),)),
+    ],
+    ids=["reads-itself", "reads-a-later-one", "undefined", "one-id-twice", "an-input-id"],
+)
+def test_build_tree_rejects_a_malformed_result(defs, out):
+    r = CseResult(2, tuple(Expression(terms, i) for i, terms in defs), (Expression(out),))
+    with pytest.raises(ValueError, match="each definition needs a fresh id"):
+        build_tree(r)
+
+
+def test_build_tree_peak_memory():
+    # the graph itself is 1.27 MiB; build_tree's temporaries must stay small
+    r = no_cse(CORPUS["64x2304_z75"]())
+    build_tree(r)  # leave first-call imports out of the measurement
+    tracemalloc.start()
+    try:
+        build_tree(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+def test_graph_takes_its_own_read_only_arrays_and_copies_others(filter_matrix):
+    g = build_tree(no_cse(filter_matrix), 2)
+    g4 = schedule_serial(g, 4)
+    for field in ("kind", "stage", "operand_start", "operand_node", "operand_sign"):
+        assert getattr(g4, field) is getattr(g, field)
+    kind = g.kind.copy()  # writable
+    h = AdderGraph(kind, g.stage, g.operand_start, g.operand_node, g.operand_sign)
+    kind[0] = 3
+    assert h.kind[0] == g.kind[0] and not h.kind.flags.writeable
+    assert h == g
 
 
 # ---------------------------------------------------------------------------
@@ -309,3 +356,52 @@ def test_validate_graph_agrees_with_the_reference(case):
         with pytest.raises(GraphValidationError) as e:
             validate_graph(g)
         assert str(e.value) == want
+
+
+# ---------------------------------------------------------------------------
+# Construction against the independent per-node reference
+
+
+@st.composite
+def cse_texts(draw):
+    """A valid .cse text and its input count. Definitions read inputs and
+    earlier definitions, may skip ids and may be one term, negated or not;
+    outputs may be empty."""
+    n_in = draw(st.integers(1, 6))
+    names, lines = list(range(n_in)), []
+
+    def terms(min_size):
+        chosen = draw(st.lists(st.sampled_from(names), unique=True, min_size=min_size, max_size=7))
+        return " ".join(f"{draw(st.sampled_from('+-'))}x{v}" for v in chosen)
+
+    for _ in range(draw(st.integers(0, 8))):
+        body = terms(1)
+        names.append(max(names[-1] + 1, n_in) + draw(st.integers(0, 2)))  # ids may skip
+        lines.append(f"def x{names[-1]} = {body}")
+    for r in range(draw(st.integers(1, 5))):
+        lines.append(f"out {r} = {terms(0)}".rstrip())
+    return "\n".join(lines) + "\n", n_in
+
+
+@st.composite
+def cse_results(draw):
+    if draw(st.booleans()):
+        text, n_in = draw(cse_texts())
+        return parse_cse(text, n_in)
+    rows, cols = draw(st.integers(1, 20)), draw(st.integers(1, 40))
+    zeros, seed = draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**32 - 1))
+    m = random_ternary(rows, cols, zeros, np.random.default_rng(seed))
+    return draw(st.sampled_from([no_cse, td_cse, bu_cse]))(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cse_results(), st.sampled_from([2, 3]), st.booleans())
+def test_build_tree_equals_the_reference(result, arity, aligned):
+    g = build_tree(result, arity, align_outputs=aligned)
+    start, node, sign = g.operand_start.tolist(), g.operand_node.tolist(), g.operand_sign.tolist()
+    got = (
+        [KINDS[k] for k in g.kind.tolist()],
+        g.stage.tolist(),
+        [list(zip(node[a:b], sign[a:b])) for a, b in zip(start, start[1:])],
+    )
+    assert got == tree_ref.build_tree(result, arity, aligned)
