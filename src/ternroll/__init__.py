@@ -11,7 +11,6 @@ from .cse import (
     no_cse,
     td_cse,
 )
-from .expressions import Expression
 from .fixedpoint import (
     ACT_FORMAT,
     SCALE_FORMAT,
@@ -57,7 +56,6 @@ __all__ = [
     "CostReport",
     "CseResult",
     "CseStats",
-    "Expression",
     "ExtractionEvent",
     "FixedPointFormat",
     "FloatMatrix",

@@ -121,7 +121,7 @@ def _cmd_cse(args) -> int:
     _atomic_write(args.outfile, format_cse(result))
     print(
         f"extractions={result.stats.extractions} terms={result.stats.total_terms} "
-        f"defs={len(result.definitions)}"
+        f"defs={len(result.ids)}"
     )
     return 0
 

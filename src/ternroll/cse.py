@@ -17,12 +17,37 @@ documented tie-breaks. Both preserve exact symbolic equivalence:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
-from .expressions import Expression
 from .matrices import TernaryMatrix
+from .network import INT_LIMIT
+
+
+class FrozenArrays:
+    """Read-only array fields of a frozen dataclass, equal when all fields are.
+
+    ``ARRAYS`` maps each array field to its dtype. An array given read-only,
+    of that dtype and owning its data is kept as it is; anything else is
+    copied into one the caller cannot write to.
+    """
+
+    ARRAYS: ClassVar[dict[str, type]] = {}
+
+    def __post_init__(self) -> None:
+        for field, dtype in self.ARRAYS.items():
+            a = getattr(self, field)
+            if not (isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable and a.base is None):
+                a = np.array(a, dtype=dtype)
+                a.flags.writeable = False
+            object.__setattr__(self, field, a)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -31,52 +56,101 @@ class CseStats:
     total_terms: int
 
 
-@dataclass(frozen=True)
-class CseResult:
-    """Definitions plus rewritten outputs for one matrix.
+@dataclass(frozen=True, eq=False)
+class CseResult(FrozenArrays):
+    """Definitions, then outputs, as signed sums in compressed rows.
 
-    ``definitions`` is topologically ordered (no forward references) and each
-    definition's ``id`` is its variable index; inputs occupy 0..n_inputs-1.
-    Substituting all definitions into ``outputs`` reproduces the original
-    matrix rows exactly.
+    Inputs are the variables 0..n_inputs-1, and definition k defines
+    variable ``ids[k]``. Row r, the definitions first and then the outputs,
+    is the sum of ``term_sign[j]`` times variable ``term_var[j]`` for ``j``
+    in ``term_start[r]:term_start[r + 1]``. The arrays are read-only (see
+    ``FrozenArrays``). A result is checked when made, and the first broken
+    rule, in this order, raises ``ValueError``: n_inputs is at least 1;
+    every sign is +1 or -1; a row's variables strictly ascend; the ids are
+    unique and not inputs; a definition is not empty and reads only inputs
+    and earlier definitions; an output reads only inputs and definitions.
+    Substituting all definitions into the outputs reproduces the matrix rows.
     """
 
+    ARRAYS = dict(ids=np.int64, term_start=np.int64, term_var=np.int64, term_sign=np.int8)
+
     n_inputs: int
-    definitions: tuple[Expression, ...]
-    outputs: tuple[Expression, ...]
+    ids: np.ndarray
+    term_start: np.ndarray
+    term_var: np.ndarray
+    term_sign: np.ndarray
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        n_in, ids, start, var, sign = self.n_inputs, self.ids, self.term_start, self.term_var, self.term_sign
+        if n_in < 1:
+            raise ValueError(f"n_inputs must be at least 1, got {n_in}")
+        if (any(a.ndim != 1 for a in (ids, start, var, sign)) or len(start) <= len(ids) or start[0] != 0
+                or (np.diff(start) < 0).any() or not len(var) == len(sign) == start[-1]):
+            raise ValueError("term arrays have inconsistent lengths")
+        k, size = len(ids), np.diff(start)
+        row = np.repeat(np.arange(len(size)), size)
+
+        def fail(r: int, message: str):
+            raise ValueError(f"{f'def x{ids[r]}' if r < k else f'out {r - k}'}: {message}")
+
+        # each loop below runs at most once: on the first term or row breaking its rule
+        for j in np.flatnonzero(np.abs(sign) != 1)[:1]:
+            fail(row[j], f"x{var[j]} has sign {sign[j]}")
+        for j in np.flatnonzero((row[1:] == row[:-1]) & (var[1:] <= var[:-1]))[:1]:
+            fail(row[j], f"x{var[j + 1]} follows x{var[j]}, variables must strictly ascend")
+        _, first = np.unique(ids, return_index=True)
+        again = np.ones(k, bool)
+        again[first] = False
+        for r in np.flatnonzero((ids < n_in) | again)[:1]:
+            fail(r, "the id is an input" if ids[r] < n_in else "the id is defined twice")
+        for r in np.flatnonzero(size[:k] == 0)[:1]:
+            fail(r, "empty definition")
+        val = self.term_values()
+        for j in np.flatnonzero((val < 0) | (val >= n_in + np.minimum(row, k)))[:1]:
+            fail(row[j], f"reads x{var[j]}, which is not an input or an earlier definition")
 
     @property
-    def n_vars(self) -> int:
-        return self.n_inputs + len(self.definitions)
+    def n_outputs(self) -> int:
+        return len(self.term_start) - 1 - len(self.ids)
 
     @property
     def stats(self) -> CseStats:
         """One extraction per definition; terms of definitions and outputs."""
-        return CseStats(len(self.definitions), sum(map(len, self.definitions + self.outputs)))
+        return CseStats(len(self.ids), len(self.term_var))
+
+    def term_values(self) -> np.ndarray:
+        """Each term's value: input i is value i, the variable of definition k
+        is value n_inputs + k, and any other variable is -1."""
+        n_in, ids, var = self.n_inputs, self.ids, self.term_var
+        val = np.where((var >= 0) & (var < n_in), var, -1)
+        if len(ids):
+            order = np.argsort(ids)
+            at = np.minimum(np.searchsorted(ids, var, sorter=order), len(ids) - 1)
+            defined = (var >= n_in) & (ids[order[at]] == var)
+            val[defined] = n_in + order[at[defined]]
+        return val
 
 
 @dataclass(frozen=True)
 class ExtractionEvent:
-    """One extraction step: the new variable, its pattern, occurrence count."""
+    """One extraction step: the new variable, its pattern as (variable, sign)
+    pairs in variable order, and how many rows it was taken from."""
 
     var: int
-    pattern: Expression
+    pattern: tuple[tuple[int, int], ...]
     occurrences: int
 
 
-def _expressions(signs: np.ndarray, ids: tuple[int, ...] = ()) -> tuple[Expression, ...]:
-    """Each row of a sign matrix as an Expression, from one ``np.nonzero``
-    pass; the first ``len(ids)`` rows get those ids, the rest none."""
+def _rows(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The compressed rows (start, variable, sign) of a sign matrix."""
     rows, cols = np.nonzero(signs)  # row-major, so each row's columns ascend
-    terms = list(zip(cols.tolist(), signs[rows, cols].tolist()))
-    ends = np.cumsum(np.count_nonzero(signs, axis=1)).tolist()
-    names = [*ids] + [None] * (len(ends) - len(ids))
-    return tuple(Expression(tuple(terms[lo:hi]), i) for lo, hi, i in zip([0, *ends], ends, names))
+    return np.searchsorted(rows, np.arange(len(signs) + 1)), cols, signs[rows, cols]
 
 
 def no_cse(m: TernaryMatrix) -> CseResult:
     """Identity result: every row kept verbatim, no shared definitions."""
-    return CseResult(m.cols, (), _expressions(m.entries))
+    return CseResult(m.cols, (), *_rows(m.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +228,10 @@ def td_cse(
     best = np.zeros(cap, dtype=key_type)
     best[:n_inputs] = keys[:n_inputs, :n_inputs].max(axis=(1, 2))
 
-    definitions: list[Expression] = []
+    def_var: list[int] = []  # definition k, of variable n_inputs + k, is +x_i ±x_j with i < j
+    def_sign: list[int] = []
     n = n_inputs
-    while max_extractions is None or len(definitions) < max_extractions:
+    while max_extractions is None or n - n_inputs < max_extractions:
         i = int(best[:n].argmax())
         if best[i] == 0:
             break
@@ -173,10 +248,10 @@ def td_cse(
         signs[occ, n] = signs[occ, i]
         signs[occ, i] = 0
         signs[occ, j] = 0
-        pattern = Expression(((i, 1), (j, rel)), id=n)
-        definitions.append(pattern)
+        def_var += i, j
+        def_sign += 1, rel
         if trace is not None:
-            trace.append(ExtractionEvent(n, pattern, len(occ)))
+            trace.append(ExtractionEvent(n, ((i, 1), (j, rel)), len(occ)))
         n += 1
         cols = np.array([i, j, n - 1])
         old = keys[cols, :n]
@@ -193,7 +268,10 @@ def td_cse(
         stale = np.flatnonzero(stale)
         best[stale] = keys[stale, :n].max(axis=(1, 2))
 
-    return CseResult(m.cols, tuple(definitions), _expressions(signs[:, :n]))
+    start, var, sign = _rows(signs[:, :n])
+    k = n - n_inputs
+    start = np.r_[0 : 2 * k : 2, start + 2 * k]
+    return CseResult(n_inputs, np.arange(n_inputs, n), start, np.r_[def_var, var], np.r_[def_sign, sign])
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +475,14 @@ def bu_cse(
         hits = pm.extract(pat)
         n_defs += 1
         if trace is not None:
-            trace.append(ExtractionEvent(var, _expressions(_unpack(pat[None], var))[0], hits))
+            row = _unpack(pat[None], var)[0]
+            cols = np.flatnonzero(row)
+            trace.append(ExtractionEvent(var, tuple(zip(cols.tolist(), row[cols].tolist())), hits))
 
     # working rows are the outputs, then definition k of variable m.cols + k
     rows = _unpack(pm.bits[: pm.n_rows], pm.n_vars)
     order = np.array(_topo_order(rows[m.rows :, m.cols :]), dtype=np.intp)
-    exprs = _expressions(rows[np.r_[m.rows + order, : m.rows]], tuple((m.cols + order).tolist()))
-    return CseResult(m.cols, exprs[:n_defs], exprs[n_defs:])
+    return CseResult(m.cols, m.cols + order, *_rows(rows[np.r_[m.rows + order, : m.rows]]))
 
 
 # ---------------------------------------------------------------------------
@@ -412,26 +491,12 @@ def bu_cse(
 
 def expand_rows(result: CseResult) -> np.ndarray:
     """Symbolically substitute definitions into outputs, as coefficient rows."""
-    coeff: dict[int, np.ndarray] = {}
-
-    def vec_of(var: int) -> np.ndarray:
-        if var < result.n_inputs:
-            v = np.zeros(result.n_inputs, dtype=np.int32)
-            v[var] = 1
-            return v
-        return coeff[var]
-
-    for d in result.definitions:
-        acc = np.zeros(result.n_inputs, dtype=np.int32)
-        for var, sign in d.terms:
-            acc += sign * vec_of(var)
-        assert d.id is not None
-        coeff[d.id] = acc
-    out = np.zeros((len(result.outputs), result.n_inputs), dtype=np.int32)
-    for r, e in enumerate(result.outputs):
-        for var, sign in e.terms:
-            out[r] += sign * vec_of(var)
-    return out
+    n_in, start, sign, val = result.n_inputs, result.term_start.tolist(), result.term_sign, result.term_values()
+    # row v: the coefficients of value v (the inputs, then the definitions), then of the outputs
+    coeff = np.eye(len(start) - 1 + n_in, n_in, dtype=np.int32)
+    for r, (lo, hi) in enumerate(zip(start, start[1:])):
+        coeff[n_in + r] = sign[lo:hi] @ coeff[val[lo:hi]]
+    return coeff[n_in + len(result.ids) :]
 
 
 def find_counterexample(m: TernaryMatrix, result: CseResult) -> np.ndarray | None:
@@ -442,9 +507,9 @@ def find_counterexample(m: TernaryMatrix, result: CseResult) -> np.ndarray | Non
     with ``m`` is the same as checking every input on the standard basis: a
     complete proof, not a sample.
     """
-    if (len(result.outputs), result.n_inputs) != (m.rows, m.cols):
+    if (result.n_outputs, result.n_inputs) != (m.rows, m.cols):
         raise ValueError(
-            f"result is {len(result.outputs)}x{result.n_inputs} (outputs x inputs), "
+            f"result is {result.n_outputs}x{result.n_inputs} (outputs x inputs), "
             f"matrix is {m.rows}x{m.cols}"
         )
     bad = np.flatnonzero((expand_rows(result) != m.entries).any(axis=0))
@@ -461,96 +526,81 @@ def find_counterexample(m: TernaryMatrix, result: CseResult) -> np.ndarray | Non
 
 def format_cse(result: CseResult) -> str:
     """Render definitions then outputs in the .cse line format."""
-    lines = []
-    for d in result.definitions:
-        lines.append(f"def x{d.id} = {d}" if d.terms else f"def x{d.id} =")
-    for r, e in enumerate(result.outputs):
-        lines.append(f"out {r} = {e}" if e.terms else f"out {r} =")
-    return "\n".join(lines) + "\n"
+    terms = [f"{'+' if s > 0 else '-'}x{v}" for v, s in zip(result.term_var.tolist(), result.term_sign.tolist())]
+    heads = [f"def x{i} =" for i in result.ids.tolist()] + [f"out {r} =" for r in range(result.n_outputs)]
+    start = result.term_start.tolist()
+    return "".join(" ".join([h, *terms[lo:hi]]) + "\n" for h, lo, hi in zip(heads, start, start[1:]))
 
 
 class CseFormatError(ValueError):
     """A .cse file violates the line format."""
 
 
-def _is_index(tok: str) -> bool:
-    """True for a non-empty run of ASCII digits (``str.isdigit`` admits others)."""
-    return tok.isascii() and tok.isdigit()
+def _index(tok: str, at: int, lineno: int, what: str) -> int:
+    """The index ``tok[at:]``: ASCII digits (``str.isdigit`` admits others) of
+    value at most ``INT_LIMIT``, the cap of network files."""
+    digits = tok[at:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise CseFormatError(f"line {lineno}: bad {what} {tok!r}")
+    if len(digits.lstrip("0")) > len(str(INT_LIMIT)) or int(digits) > INT_LIMIT:
+        raise CseFormatError(f"line {lineno}: {what} {tok!r} has an index above {INT_LIMIT}")
+    return int(digits)
 
 
-def _parse_terms(tokens: list[str], lineno: int) -> tuple[tuple[int, int], ...]:
+def _parse_terms(tokens: list[str], lineno: int) -> list[tuple[int, int]]:
+    """The (variable, sign) terms of a line, in variable order."""
     terms: dict[int, int] = {}
     for tok in tokens:
-        if len(tok) < 3 or tok[0] not in "+-" or tok[1] != "x" or not _is_index(tok[2:]):
+        if len(tok) < 3 or tok[0] not in "+-" or tok[1] != "x":
             raise CseFormatError(f"line {lineno}: bad term {tok!r}")
-        var = int(tok[2:])
+        var = _index(tok, 2, lineno, "term")
         if var in terms:
             raise CseFormatError(f"line {lineno}: variable x{var} repeated")
         terms[var] = 1 if tok[0] == "+" else -1
-    return tuple(terms.items())
+    return sorted(terms.items())
 
 
 def parse_cse(text: str, n_inputs: int | None = None) -> CseResult:
-    """Parse the .cse format.
+    """Parse the .cse format; each line's terms are taken in variable order.
 
     When ``n_inputs`` is omitted it is inferred: the smallest defined variable
     index bounds the inputs, or the largest referenced variable plus one when
-    there are no definitions.
+    there are no definitions. A result that is not well formed (see
+    ``CseResult``) raises ``CseFormatError``.
     """
-    defs: list[Expression] = []
-    outs: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-    seen_out = False
+    if n_inputs is not None and n_inputs > INT_LIMIT:
+        raise CseFormatError(f"n_inputs {n_inputs} is above {INT_LIMIT}")
+    ids: list[int] = []
+    rows: list[list[tuple[int, int]]] = []  # the definitions, then the outputs
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] == "def":
-            if seen_out:
+            if len(rows) > len(ids):
                 raise CseFormatError(f"line {lineno}: def after out lines")
             if len(parts) < 3 or parts[2] != "=":
                 raise CseFormatError(f"line {lineno}: expected 'def x<k> = ...'")
             head = parts[1]
-            if not head.startswith("x") or not _is_index(head[1:]):
+            if not head.startswith("x"):
                 raise CseFormatError(f"line {lineno}: bad definition name {head!r}")
-            terms = _parse_terms(parts[3:], lineno)
-            if not terms:
-                raise CseFormatError(f"line {lineno}: empty definition body")
-            defs.append(Expression(terms, id=int(head[1:])))
+            ids.append(_index(head, 1, lineno, "definition name"))
         elif parts[0] == "out":
-            seen_out = True
             if len(parts) < 3 or parts[2] != "=":
                 raise CseFormatError(f"line {lineno}: expected 'out <row> = ...'")
-            if not _is_index(parts[1]):
-                raise CseFormatError(f"line {lineno}: bad row index {parts[1]!r}")
-            outs.append((int(parts[1]), _parse_terms(parts[3:], lineno)))
+            if _index(parts[1], 0, lineno, "row index") != len(rows) - len(ids):
+                raise CseFormatError(f"line {lineno}: out rows must be consecutive from 0, got {parts[1]}")
         else:
             raise CseFormatError(f"line {lineno}: expected 'def' or 'out', got {parts[0]!r}")
-    if not outs:
+        rows.append(_parse_terms(parts[3:], lineno))
+    if len(rows) == len(ids):
         raise CseFormatError("no out lines")
-    for pos, (r, _) in enumerate(outs):
-        if r != pos:
-            raise CseFormatError(f"out rows must be consecutive from 0, got {r} at position {pos}")
-    def_ids = {d.id for d in defs}
-    if len(def_ids) != len(defs):
-        raise CseFormatError("duplicate definition")
-    referenced = {v for d in defs for v, _ in d.terms} | {v for _, ts in outs for v, _ in ts}
+    terms = np.array([t for row in rows for t in row], dtype=np.int64).reshape(-1, 2)
     if n_inputs is None:
-        if defs:
-            n_inputs = min(def_ids)
-        else:
-            n_inputs = (max(referenced) + 1) if referenced else 1
-    defined: set[int] = set()
-    for d in defs:
-        assert d.id is not None
-        if d.id < n_inputs:
-            raise CseFormatError(f"definition x{d.id} collides with the input range")
-        for v, _ in d.terms:
-            if v >= n_inputs and v not in defined:
-                raise CseFormatError(f"definition x{d.id} references undefined x{v}")
-        defined.add(d.id)
-    for r, ts in outs:
-        for v, _ in ts:
-            if v >= n_inputs and v not in defined:
-                raise CseFormatError(f"out {r} references undefined x{v}")
-    return CseResult(n_inputs, tuple(defs), tuple(Expression(ts) for _, ts in outs))
+        n_inputs = min(ids) if ids else int(terms[:, 0].max(initial=0)) + 1
+    start = np.cumsum([0] + [len(row) for row in rows])
+    try:
+        return CseResult(n_inputs, ids, start, terms[:, 0], terms[:, 1])
+    except ValueError as e:
+        raise CseFormatError(str(e)) from e

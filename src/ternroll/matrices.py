@@ -79,7 +79,19 @@ class TernaryMatrix:
         peak = max(-int(x.min(initial=0)), int(x.max(initial=0)))
         bound = int(np.count_nonzero(self.entries, axis=1).max()) * peak
         if bound < 1 << 53:
-            return (self.entries.astype(np.float64) @ x.astype(np.float64)).astype(np.int64)
+            w = self.entries.astype(np.float64)
+            if x.ndim < 2:
+                return (w @ x.astype(np.float64)).astype(np.int64)
+            # at most 2 MiB of x in float64 at a time: a whole copy beside a
+            # large x (a conv layer's patches) doubles what a call holds, and
+            # past glibc's heap trim threshold (twice the largest block it has
+            # mapped, 9 MiB after a 4.5 MiB one) that memory is given back and
+            # faulted in again on every call
+            out = np.empty((self.rows, x.shape[1]), np.int64)
+            step = max(1, (1 << 18) // max(1, len(x)))
+            for lo in range(0, x.shape[1], step):
+                out[:, lo : lo + step] = w @ x[:, lo : lo + step].astype(np.float64)
+            return out
         if bound < 1 << 63:
             return self.entries.astype(np.int64) @ x
         raise ValueError(

@@ -11,16 +11,14 @@ distinct node kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from itertools import chain
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cse import CseResult
+from .cse import CseResult, FrozenArrays
 
 IN, ADD, DELAY, OUT = range(4)  # node kind codes, indices into KINDS
 KINDS = ("in", "add", "delay", "out")
-_ARRAYS = dict(kind=np.int8, stage=np.int64, operand_start=np.int64, operand_node=np.int64, operand_sign=np.int8)
 
 
 class GraphValidationError(RuntimeError):
@@ -28,19 +26,20 @@ class GraphValidationError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class AdderGraph:
+class AdderGraph(FrozenArrays):
     """Acyclic add/delay pipeline with stage-aligned operands.
 
     Node ``i`` has kind code ``kind[i]`` (an index into ``KINDS``), pipeline
     stage ``stage[i]`` and the signed operands ``operand_node[j]``,
     ``operand_sign[j]`` for ``j`` in ``operand_start[i]:operand_start[i + 1]``.
-    The arrays are read-only: one given read-only, of its field's dtype and
-    owning its data is kept as it is, anything else is copied. The inputs
-    and outputs are the ``IN`` and ``OUT`` nodes in id order. ``digits`` is
-    the serial schedule: 1 means fully parallel words, D > 1 means each
-    sample is processed as D digits of ``digit_width`` bits. Evaluation
-    semantics are independent of the schedule.
+    The arrays are read-only (see ``FrozenArrays``). The inputs and outputs
+    are the ``IN`` and ``OUT`` nodes in id order. ``digits`` is the serial
+    schedule: 1 means fully parallel words, D > 1 means each sample is
+    processed as D digits of ``digit_width`` bits. Evaluation semantics are
+    independent of the schedule.
     """
+
+    ARRAYS = dict(kind=np.int8, stage=np.int64, operand_start=np.int64, operand_node=np.int64, operand_sign=np.int8)
 
     kind: np.ndarray = ()
     stage: np.ndarray = ()
@@ -51,19 +50,6 @@ class AdderGraph:
     total_bits: int = 16
     outputs_aligned: bool = True
     name: str = ""
-
-    def __post_init__(self) -> None:
-        for field, dtype in _ARRAYS.items():
-            a = getattr(self, field)
-            if not (isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable and a.base is None):
-                a = np.array(a, dtype=dtype)  # a copy the caller cannot write to
-                a.flags.writeable = False
-            object.__setattr__(self, field, a)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AdderGraph):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @property
     def digit_width(self) -> int:
@@ -122,14 +108,11 @@ def build_tree(
 
 def _build(result: CseResult, arity: int, align_outputs: bool) -> tuple[np.ndarray, ...]:
     """The read-only node arrays of ``build_tree``'s graph."""
-    n_in, n_defs, n_out = result.n_inputs, len(result.definitions), len(result.outputs)
-    sums = result.definitions + tuple(e for e in result.outputs if e.terms)
-    n = np.fromiter(map(len, sums), np.int64, len(sums))
-    flat = chain.from_iterable(chain.from_iterable(e.terms for e in sums))
-    terms = np.fromiter(flat, np.int64, 2 * int(n.sum()))
-    val = _values(terms[0::2], n, result)
-    sign = terms[1::2].astype(np.int8)
-    del terms
+    n_in, n_defs, n_out = result.n_inputs, len(result.ids), result.n_outputs
+    n = np.diff(result.term_start)
+    has = n[n_defs:] > 0
+    n = np.concatenate([n[:n_defs], n[n_defs:][has]])  # the sums: definitions and non-empty outputs
+    val, sign = result.term_values().astype(np.int32), result.term_sign
     adds = n - 1 if arity == 2 else n // 2
     first_term, first_add = np.cumsum(n) - n, np.cumsum(adds) - adds
     op_first = first_term + first_add - np.arange(len(n))  # a sum's adds have n + adds - 1 operands
@@ -138,9 +121,9 @@ def _build(result: CseResult, arity: int, align_outputs: bool) -> tuple[np.ndarr
         sizes[(first_add + adds - 1)[(n % 2 == 0) & (adds > 0)]] = 2
     n_adds, n_ops = len(sizes), int(sizes.sum())
     # a value is an input or a sum (value n_in + j): its root node, sign and stage
-    v_node = np.arange(n_in + len(sums), dtype=np.int32)  # provisional ids: inputs, then adds in creation order
-    v_sign = np.ones(n_in + len(sums), np.int8)
-    v_stage = np.zeros(n_in + len(sums), np.int32)
+    v_node = np.arange(n_in + len(n), dtype=np.int32)  # provisional ids: inputs, then adds in creation order
+    v_sign = np.ones(n_in + len(n), np.int8)
+    v_stage = np.zeros(n_in + len(n), np.int32)
     # the adds' operands in creation order, then the outputs', then a spare slot for roots
     op_node = np.empty(n_ops + n_out + 1, np.int32)
     op_sign = np.empty(n_ops + n_out + 1, np.int8)
@@ -175,7 +158,6 @@ def _build(result: CseResult, arity: int, align_outputs: bool) -> tuple[np.ndarr
     wave = _waves(val, n, n_in, n_defs)
     for w in range(1, int(wave.max(initial=0)) + 1):
         pack(np.flatnonzero(wave == w))
-    has = np.fromiter((bool(e.terms) for e in result.outputs), bool, n_out)
     o = np.flatnonzero(has)
     r = n_in + n_defs + np.arange(len(o))  # the values of the non-empty outputs
     out_stage = np.full(n_out, v_stage[r].max(initial=0) if align_outputs else 0, np.int64)
@@ -232,25 +214,6 @@ def _assemble(n_in, sizes, add_stage, op_node, op_sign, d_node, d_stage, d_key, 
     for a in (kind, stage, start, node, sign):
         a.flags.writeable = False
     return kind, stage, start, node, sign
-
-
-def _values(var: np.ndarray, n: np.ndarray, result: CseResult) -> np.ndarray:
-    """Each term's value: input i is value i, definition j is n_inputs + j."""
-    n_in, defs = result.n_inputs, result.definitions
-    ids = np.fromiter((d.id for d in defs), np.int64, len(defs))
-    val = var.copy()
-    val[var >= n_in] = np.iinfo(np.int64).max  # undefined, unless a definition has the id
-    if len(ids):
-        order = np.argsort(ids)
-        at = np.minimum(np.searchsorted(ids[order], var), len(ids) - 1)
-        defined = (var >= n_in) & (ids[order][at] == var)
-        val[defined] = n_in + order[at[defined]]
-    # a definition reads inputs and earlier definitions, an output any of them
-    bound = n_in + np.minimum(np.repeat(np.arange(len(n)), n), len(ids))
-    fresh = (ids >= n_in).all() and len(np.unique(ids)) == len(ids)
-    if not fresh or (n[: len(ids)] == 0).any() or (val >= bound).any():
-        raise ValueError("each definition needs a fresh id, and terms that read inputs and earlier definitions")
-    return val.astype(np.int32)
 
 
 def _waves(val: np.ndarray, n: np.ndarray, n_in: int, n_defs: int) -> np.ndarray:

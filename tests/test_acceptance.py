@@ -41,7 +41,7 @@ from ternroll.netlist import emit, parse
 from ternroll.pipeline import patch_matrix
 from ternroll.ternarize import sparsity_sweep, threshold
 
-from . import straightline_ref
+from . import cse_rows, straightline_ref
 from .test_pipeline import gather_oracle, tiny_net, tiny_weights
 
 
@@ -62,9 +62,9 @@ def test_c01_worked_example_golden(m7x6):
     with report("C1 worked 7x6 extraction example", 1.0):
         trace = []
         r = td_cse(m7x6, max_extractions=1, trace=trace)
-        assert trace[0].pattern.terms == ((2, 1), (3, 1))
+        assert trace[0].pattern == ((2, 1), (3, 1))
         assert trace[0].occurrences == 3
-        assert [o.terms for o in r.outputs] == [
+        assert cse_rows.rows(r)[1] == [
             ((6, 1),),
             ((0, 1), (4, 1), (6, 1)),
             ((1, 1), (4, 1), (5, 1)),
@@ -75,14 +75,15 @@ def test_c01_worked_example_golden(m7x6):
         ]
         bu_trace = []
         r2 = bu_cse(m7x6, max_extractions=1, trace=bu_trace)
-        assert bu_trace[0].pattern.terms == ((0, 1), (2, 1), (3, 1))
+        assert bu_trace[0].pattern == ((0, 1), (2, 1), (3, 1))
         # the pattern was appended as a working row: both containing rows now
         # reference it and the body is the new definition
-        assert r2.definitions[0].id == 6
-        assert r2.definitions[0].terms == ((0, 1), (2, 1), (3, 1))
-        assert r2.outputs[1].terms == ((4, 1), (6, 1))
-        assert r2.outputs[4].terms == ((6, 1),)
-        assert r2.outputs[0].terms == ((2, 1), (3, 1))
+        defs, outs = cse_rows.rows(r2)
+        assert defs[0][0] == 6
+        assert defs[0][1] == ((0, 1), (2, 1), (3, 1))
+        assert outs[1] == ((4, 1), (6, 1))
+        assert outs[4] == ((6, 1),)
+        assert outs[0] == ((2, 1), (3, 1))
 
 
 def test_c02_filter_tree_golden(filter_matrix):

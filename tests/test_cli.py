@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ternroll
@@ -28,12 +28,12 @@ from ternroll import cli
 from ternroll.cli import main
 from ternroll.matrices import FloatMatrix, dump_fmx, dump_tmx, load_tmx, random_ternary
 from ternroll.cse import CseResult, parse_cse
-from ternroll.expressions import Expression
 from ternroll.fixedpoint import FixedPointFormat
 from ternroll import netlist
 from ternroll.network import ACTIVATIONS, LayerSpec, NetworkSpec, save_network
 from ternroll.pipeline import dump_img
 
+from . import cse_rows
 from .test_pipeline import tiny_net, tiny_weights
 
 TMX_7X6 = "tmx 7 6\n00++00\n+0+++0\n0+00++\n0+000+\n+0++00\n+00+00\n0+00++\n"
@@ -97,10 +97,10 @@ def test_cse_verify_flag(tmp_path, m7x6_file, capsys):
 
 
 def _one_sign_flipped(r: CseResult) -> CseResult:
-    outputs = list(r.outputs)
-    (v, s), *rest = outputs[1].terms
-    outputs[1] = Expression(((v, -s), *rest))
-    return CseResult(r.n_inputs, r.definitions, tuple(outputs))
+    defs, outputs = cse_rows.rows(r)
+    (v, s), *rest = outputs[1]
+    outputs[1] = ((v, -s), *rest)
+    return cse_rows.result(r.n_inputs, defs, outputs)
 
 
 @pytest.mark.parametrize(
@@ -161,6 +161,24 @@ def test_tree_and_stats_roundtrip(tmp_path, m7x6_file, capsys):
     assert "Adds+Regs" in out
     g = netlist.load(str(ngl_path))
     assert evaluate(g, [1] * 6) == [2, 4, 3, 2, 3, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ("out 0 = +x99999999999\n", [], "line 1: term '+x99999999999' has an index above 1048576"),
+        ("out 0 =\n", ["--inputs", "0"], "n_inputs must be at least 1, got 0"),
+        ("out 0 =\n", ["--inputs", "-5"], "n_inputs must be at least 1, got -5"),
+        ("out 0 =\n", ["--inputs", "1048577"], "n_inputs 1048577 is above 1048576"),
+    ],
+    ids=["11-digit-variable", "no-inputs", "negative-inputs", "inputs-above-the-limit"],
+)
+def test_tree_refuses_out_of_range_variables_and_inputs(tmp_path, capsys, text, flags, message):
+    cse_path, ngl_path = tmp_path / "a.cse", tmp_path / "a.ngl"
+    cse_path.write_text(text)
+    assert main(["tree", *flags, str(cse_path), str(ngl_path)]) == 2
+    assert capsys.readouterr().err == f"ternroll: {message}\n"
+    assert not ngl_path.exists()
 
 
 def test_emit_one_shot(tmp_path, m7x6_file):
@@ -594,6 +612,7 @@ def _run_main(argv: list[str]) -> tuple[object, str]:
 
 @settings(max_examples=100, deadline=None)
 @given(case=_CASES)
+@example(case=("in.cse", "out 0 = +x1230123012301\n"))  # a 13-digit input index
 def test_cli_on_malformed_files_exits_0_1_or_2(case):
     name, content = case
     with tempfile.TemporaryDirectory() as d:

@@ -19,10 +19,9 @@ from ternroll.cse import (
     format_cse,
     parse_cse,
 )
-from ternroll.expressions import Expression
 from ternroll.matrices import random_ternary
 
-from . import cse_ref
+from . import cse_ref, cse_rows
 
 
 def terms(*pairs):
@@ -36,9 +35,10 @@ def terms(*pairs):
 def test_td_first_extraction_and_rewritten_system(m7x6):
     trace = []
     r = td_cse(m7x6, max_extractions=1, trace=trace)
-    assert trace[0].pattern.terms == terms((2, 1), (3, 1))
+    assert trace[0].pattern == terms((2, 1), (3, 1))
     assert trace[0].occurrences == 3
-    assert [o.terms for o in r.outputs] == [
+    defs, outs = cse_rows.rows(r)
+    assert outs == [
         terms((6, 1)),
         terms((0, 1), (4, 1), (6, 1)),
         terms((1, 1), (4, 1), (5, 1)),
@@ -47,8 +47,8 @@ def test_td_first_extraction_and_rewritten_system(m7x6):
         terms((0, 1), (3, 1)),
         terms((1, 1), (4, 1), (5, 1)),
     ]
-    assert r.definitions[0].id == 6
-    assert r.definitions[0].terms == terms((2, 1), (3, 1))
+    assert defs[0][0] == 6
+    assert defs[0][1] == terms((2, 1), (3, 1))
 
 
 def test_td_full_run_equivalent(m7x6):
@@ -61,22 +61,24 @@ def test_td_disjoint_singletons_no_extractions():
     m = TernaryMatrix(np.eye(4, dtype=np.int8))
     r = td_cse(m)
     assert r.stats.extractions == 0
-    assert [o.terms for o in r.outputs] == [terms((k, 1)) for k in range(4)]
+    assert cse_rows.rows(r)[1] == [terms((k, 1)) for k in range(4)]
 
 
 def test_td_negated_pair_shares_one_definition():
     m = TernaryMatrix(np.array([[1, 1], [-1, -1]], dtype=np.int8))
     r = td_cse(m)
-    assert len(r.definitions) == 1
-    assert r.definitions[0].terms == terms((0, 1), (1, 1))
-    assert [o.terms for o in r.outputs] == [terms((2, 1)), terms((2, -1))]
+    defs, outs = cse_rows.rows(r)
+    assert len(defs) == 1
+    assert defs[0][1] == terms((0, 1), (1, 1))
+    assert outs == [terms((2, 1)), terms((2, -1))]
     # brute force over both possible extractions confirms cost 1 is minimal
     assert find_counterexample(m, r) is None
 
 
 def test_td_progress_reduces_adds_by_freq_minus_one(m7x6):
     def adds(result: CseResult) -> int:
-        exprs = [d.terms for d in result.definitions] + [o.terms for o in result.outputs]
+        defs, outs = cse_rows.rows(result)
+        exprs = [t for _, t in defs] + outs
         return sum(max(len(e) - 1, 0) for e in exprs)
 
     full_trace = []
@@ -92,18 +94,18 @@ def test_td_progress_reduces_adds_by_freq_minus_one(m7x6):
 
 def test_td_termination_no_pair_twice(m7x6):
     r = td_cse(m7x6)
-    rows = [dict(o.terms) for o in r.outputs]
+    rows = [dict(t) for t in cse_rows.rows(r)[1]]
     assert all(len(hits) < 2 for hits in cse_ref.pair_rows(rows).values())
 
 
 def test_td_grows_past_its_initial_capacity():
     # 18 terms start with room for 18 // 4 + 1 = 5 new variables; 8 are needed
     m = TernaryMatrix(np.array([[1] * 9, [-1] * 9], dtype=np.int8))
-    r = td_cse(m)
-    assert [d.terms for d in r.definitions] == [
+    defs, outs = cse_rows.rows(td_cse(m))
+    assert [t for _, t in defs] == [
         terms((a, 1), (a + 1, 1)) for a in range(0, 16, 2)
     ]
-    assert [o.terms for o in r.outputs] == [terms((16, 1)), terms((16, -1))]
+    assert outs == [terms((16, 1)), terms((16, -1))]
 
 
 def test_td_deterministic(rng):
@@ -120,12 +122,13 @@ def test_td_deterministic(rng):
 def test_bu_first_extraction_appends_working_row(m7x6):
     trace = []
     r = bu_cse(m7x6, max_extractions=1, trace=trace)
-    assert trace[0].pattern.terms == terms((0, 1), (2, 1), (3, 1))
+    assert trace[0].pattern == terms((0, 1), (2, 1), (3, 1))
     assert trace[0].occurrences == 2
     # the appended row is the definition body, so rows 1 and 4 reference it
-    assert r.definitions[0].id == 6
-    assert r.definitions[0].terms == terms((0, 1), (2, 1), (3, 1))
-    assert [o.terms for o in r.outputs] == [
+    defs, outs = cse_rows.rows(r)
+    assert defs[0][0] == 6
+    assert defs[0][1] == terms((0, 1), (2, 1), (3, 1))
+    assert outs == [
         terms((2, 1), (3, 1)),
         terms((4, 1), (6, 1)),
         terms((1, 1), (4, 1), (5, 1)),
@@ -139,12 +142,13 @@ def test_bu_first_extraction_appends_working_row(m7x6):
 def test_bu_appended_row_is_further_decomposed(m7x6):
     trace = []
     r = bu_cse(m7x6, trace=trace)
-    assert trace[0].pattern.terms == terms((0, 1), (2, 1), (3, 1))
+    assert trace[0].pattern == terms((0, 1), (2, 1), (3, 1))
     # x6 still contains a removable two-term pattern, so its body ends up
     # rewritten in terms of a later extraction
-    x6 = next(d for d in r.definitions if d.id == 6)
-    assert len(x6.terms) == 2
-    expanded = expand_rows(CseResult(r.n_inputs, r.definitions, (Expression(((6, 1),)),)))
+    defs, _ = cse_rows.rows(r)
+    x6 = next(t for i, t in defs if i == 6)
+    assert len(x6) == 2
+    expanded = expand_rows(cse_rows.result(r.n_inputs, defs, [((6, 1),)]))
     assert expanded.tolist() == [[1, 0, 1, 1, 0, 0]]
     assert find_counterexample(m7x6, r) is None
     assert np.array_equal(expand_rows(r), m7x6.entries.astype(np.int32))
@@ -154,24 +158,24 @@ def test_bu_definitions_topological(m7x6, rng):
     for m in [m7x6] + [random_ternary(8, 10, 0.4, rng) for _ in range(3)]:
         r = bu_cse(m)
         defined = set(range(r.n_inputs))
-        for d in r.definitions:
-            assert all(v in defined for v, _ in d.terms)
-            defined.add(d.id)
+        for i, t in cse_rows.rows(r)[0]:
+            assert all(v in defined for v, _ in t)
+            defined.add(i)
 
 
 def test_bu_identical_rows():
     m = TernaryMatrix(np.array([[1, 1, 1], [1, 1, 1]], dtype=np.int8))
-    r = bu_cse(m)
-    assert len(r.definitions) == 1
-    assert r.definitions[0].terms == terms((0, 1), (1, 1), (2, 1))
-    assert [o.terms for o in r.outputs] == [terms((3, 1)), terms((3, 1))]
+    defs, outs = cse_rows.rows(bu_cse(m))
+    assert len(defs) == 1
+    assert defs[0][1] == terms((0, 1), (1, 1), (2, 1))
+    assert outs == [terms((3, 1)), terms((3, 1))]
 
 
 def test_bu_negated_orientation():
     m = TernaryMatrix(np.array([[1, 1, 0], [-1, -1, 0]], dtype=np.int8))
-    r = bu_cse(m)
-    assert len(r.definitions) == 1
-    assert [o.terms for o in r.outputs] == [terms((3, 1)), terms((3, -1))]
+    defs, outs = cse_rows.rows(bu_cse(m))
+    assert len(defs) == 1
+    assert outs == [terms((3, 1)), terms((3, -1))]
 
 
 def test_bu_grows_past_its_initial_capacity():
@@ -191,7 +195,8 @@ def test_bu_deterministic(rng):
 
 def test_bu_termination_no_common_pattern_left(m7x6):
     r = bu_cse(m7x6)
-    rows = [dict(o.terms) for o in r.outputs] + [dict(d.terms) for d in r.definitions]
+    defs, outs = cse_rows.rows(r)
+    rows = [dict(t) for t in outs] + [dict(t) for _, t in defs]
     assert max(map(max, cse_ref.pattern_sizes(rows))) <= 1
 
 
@@ -201,12 +206,13 @@ def test_pattern_matrix_untouched_pairs_never_grow(rng):
     before = cse_ref.pattern_sizes(rows)
     for k in range(1, 4):
         r = bu_cse(m, max_extractions=k)
-        after_rows = [dict(o.terms) for o in r.outputs]
+        outs = cse_rows.rows(r)[1]
+        after_rows = [dict(t) for t in outs]
         after = cse_ref.pattern_sizes(after_rows)
         untouched = [
             i
             for i in range(m.rows)
-            if dict(r.outputs[i].terms) == rows[i]
+            if dict(outs[i]) == rows[i]
         ]
         for a in untouched:
             for b in untouched:
@@ -270,8 +276,9 @@ def test_bu_three_row_exhaustive_oracle():
     trace = []
     r = bu_cse(m, trace=trace)
     # tie between patterns (x0,x1) and (x1,x2): smallest variable tuple wins
-    assert trace[0].pattern.terms == terms((0, 1), (1, 1))
-    mine = _bu_cost([d.terms for d in r.definitions], [o.terms for o in r.outputs])
+    assert trace[0].pattern == terms((0, 1), (1, 1))
+    defs, outs = cse_rows.rows(r)
+    mine = _bu_cost([t for _, t in defs], outs)
     all_costs = _enumerate_bu_sequences([dict(row) for row in map(dict, (
         {0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 3: 1}, {1: 1, 2: 1},
     ))], 4)
@@ -296,10 +303,10 @@ def test_identity_outputs_always_equivalent(rng):
 
 def test_corrupted_result_found_with_witness(m7x6):
     r = td_cse(m7x6)
-    flipped = list(r.outputs)
-    v, s = flipped[1].terms[0]
-    flipped[1] = Expression(((v, -s),) + flipped[1].terms[1:])
-    bad = CseResult(r.n_inputs, r.definitions, tuple(flipped))
+    defs, flipped = cse_rows.rows(r)
+    v, s = flipped[1][0]
+    flipped[1] = ((v, -s),) + flipped[1][1:]
+    bad = cse_rows.result(r.n_inputs, defs, flipped)
     w = find_counterexample(m7x6, bad)
     assert w.tolist() == [int(c == v) for c in range(6)]  # e_v, the flipped column
     got = expand_rows(bad) @ w
@@ -330,7 +337,7 @@ def test_all_zero_row_expression(rng):
     m = TernaryMatrix(a)
     for fn in (td_cse, bu_cse, no_cse):
         r = fn(m)
-        assert r.outputs[2].terms == ()
+        assert cse_rows.rows(r)[1][2] == ()
         assert find_counterexample(m, r) is None
 
 
@@ -349,16 +356,15 @@ def test_cse_round_trip(m7x6, rng):
         for fn in (td_cse, bu_cse, no_cse):
             r = fn(m)
             again = parse_cse(format_cse(r), n_inputs=m.cols)
-            assert again.definitions == r.definitions
-            assert again.outputs == r.outputs
+            assert cse_rows.rows(again) == cse_rows.rows(r)
             inferred = parse_cse(format_cse(r))
-            if r.definitions:
+            if len(r.ids):
                 assert inferred.n_inputs == m.cols
 
 
 def test_parse_cse_empty_output_row():
     r = parse_cse("out 0 = +x0\nout 1 =\n", n_inputs=2)
-    assert r.outputs[1].terms == ()
+    assert cse_rows.rows(r)[1][1] == ()
 
 
 @pytest.mark.parametrize(
@@ -401,6 +407,32 @@ def test_parse_cse_forward_reference_rejected():
         parse_cse("def x3 = +x0 +x4\ndef x4 = +x0 +x1\nout 0 = +x3\n", n_inputs=3)
 
 
+@pytest.mark.parametrize(
+    "n_inputs, defs, outs, message",
+    [
+        (0, [], [()], "n_inputs must be at least 1, got 0"),
+        (3, [], [((2, 1), (0, 1))], "out 0: x0 follows x2, variables must strictly ascend"),
+        (2, [(2, ())], [((2, 1),)], "def x2: empty definition"),
+        (2, [(2, ((0, 1), (1, 1)))], [((0, 1),), ((3, -1),)], "out 1: reads x3, which is not an input"),
+        (2, [], [((-1, 1),)], "out 0: reads x-1, which is not an input"),
+    ],
+    ids=["no-inputs", "descending", "empty-definition", "out-reads-undefined", "negative-variable"],
+)
+def test_cse_result_names_the_first_broken_rule(n_inputs, defs, outs, message):
+    with pytest.raises(ValueError, match=message):
+        cse_rows.result(n_inputs, defs, outs)
+
+
+@pytest.mark.parametrize(
+    "ids, start, var, sign",
+    [([], [0, 2], [0], [1]), ([], [0, 1, 0], [0], [1]), ([2, 3], [0, 1], [0], [1]), ([], [1, 1], [0], [1])],
+    ids=["short-terms", "start-falls", "rows-fewer-than-ids", "start-not-0"],
+)
+def test_cse_result_refuses_inconsistent_arrays(ids, start, var, sign):
+    with pytest.raises(ValueError, match="term arrays have inconsistent lengths"):
+        CseResult(2, ids, start, var, sign)
+
+
 # Lines built mostly from fragments that pass the parser's first checks, so
 # that the later ones run too; or any text.
 CSE_TERM = st.sampled_from(
@@ -435,12 +467,13 @@ def test_format_then_parse_cse_is_identity(rows, cols, zeros, seed, fn):
     r = fn(random_ternary(rows, cols, zeros, np.random.default_rng(seed)))
     text = format_cse(r)
     assert parse_cse(text, n_inputs=cols) == r
-    if r.definitions:
+    if len(r.ids):
         assert parse_cse(text) == r
 
 
 def test_expression_stats(m7x6):
     r = td_cse(m7x6)
-    assert r.stats.extractions == len(r.definitions)
-    n_terms = sum(len(d.terms) for d in r.definitions) + sum(len(o.terms) for o in r.outputs)
+    defs, outs = cse_rows.rows(r)
+    assert r.stats.extractions == len(defs)
+    n_terms = sum(len(t) for _, t in defs) + sum(len(t) for t in outs)
     assert r.stats.total_terms == n_terms

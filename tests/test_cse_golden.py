@@ -86,7 +86,7 @@ def _trace_sha(method, case) -> str:
     for m in CORPUS[case]():
         trace = []
         METHODS[method](m, trace=trace)
-        lines.append("".join(f"{ev.var} {ev.pattern} {ev.occurrences}\n" for ev in trace))
+        lines.append("".join(f"{ev.var} {' '.join(('+' if s > 0 else '-') + f'x{v}' for v, s in ev.pattern)} {ev.occurrences}\n" for ev in trace))
     return _sha(lines)
 
 

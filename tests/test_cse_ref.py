@@ -55,6 +55,6 @@ def test_engine_matches_reference(method, case, limit):
         got = (
             format_cse(r),
             (r.stats.extractions, r.stats.total_terms),
-            [(ev.var, ev.pattern.terms, ev.occurrences) for ev in trace],
+            [(ev.var, ev.pattern, ev.occurrences) for ev in trace],
         )
         assert got == reference(m.entries.tolist(), limit), f"matrix {k} ({m.rows}x{m.cols})"

@@ -147,6 +147,13 @@ def test_matvec_exact(rng):
     assert np.array_equal(m.matvec(x), m.entries.astype(np.int64) @ x)
 
 
+def test_matvec_in_column_blocks(rng):
+    # 600 rows of x make blocks of 436 columns: two whole ones and a part
+    m = random_ternary(3, 600, 0.4, rng)
+    x = rng.integers(-(2**15), 2**15, size=(600, 1000))
+    assert np.array_equal(m.matvec(x), m.entries.astype(np.int64) @ x)
+
+
 INT64_MAX = (1 << 63) - 1
 
 

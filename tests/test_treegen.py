@@ -20,8 +20,7 @@ from ternroll import (
     td_cse,
     validate_graph,
 )
-from ternroll.cse import CseResult, parse_cse
-from ternroll.expressions import Expression
+from ternroll.cse import parse_cse
 from ternroll.matrices import random_ternary
 from ternroll.treegen import (
     ADD,
@@ -30,7 +29,7 @@ from ternroll.treegen import (
     area_slice_estimate,
 )
 
-from . import graph_ref, tree_ref
+from . import cse_rows, graph_ref, tree_ref
 from .test_netlist_golden import CORPUS
 
 
@@ -121,11 +120,10 @@ def test_depth_bound(rng):
             r = fn(m)
             for arity in (2, 3):
                 g = build_tree(r, arity)
-                max_terms = max(
-                    [len(o.terms) for o in r.outputs] + [len(d.terms) for d in r.definitions]
-                )
+                defs, outs = cse_rows.rows(r)
+                max_terms = max([len(t) for t in outs] + [len(t) for _, t in defs])
                 lower = int(np.ceil(np.log(max(max_terms, 2)) / np.log(arity)))
-                chain = len(r.definitions)
+                chain = len(defs)
                 assert lower <= cost(g).depth <= lower + chain + max_terms
 
 
@@ -152,20 +150,20 @@ def test_shared_definition_fanout_built_once(two_output_matrix):
 
 
 @pytest.mark.parametrize(
-    "defs, out",
+    "defs, out, message",
     [
-        ([(2, ((2, 1),))], ((0, 1),)),
-        ([(2, ((3, 1),)), (3, ((0, 1), (1, 1)))], ((2, 1),)),
-        ([(2, ((0, 1), (1, 1)))], ((4, 1),)),
-        ([(2, ((0, 1),)), (2, ((1, 1),))], ((2, 1),)),
-        ([(1, ((0, 1),))], ((1, 1),)),
+        ([(2, ((2, 1),))], ((0, 1),), "def x2: reads x2, which is not an input or an earlier definition"),
+        ([(2, ((3, 1),)), (3, ((0, 1), (1, 1)))], ((2, 1),), "def x2: reads x3, which is not"),
+        ([(2, ((0, 1), (1, 1)))], ((4, 1),), "out 0: reads x4, which is not"),
+        ([(2, ((0, 1),)), (2, ((1, 1),))], ((2, 1),), "def x2: the id is defined twice"),
+        ([(1, ((0, 1),))], ((1, 1),), "def x1: the id is an input"),
     ],
     ids=["reads-itself", "reads-a-later-one", "undefined", "one-id-twice", "an-input-id"],
 )
-def test_build_tree_rejects_a_malformed_result(defs, out):
-    r = CseResult(2, tuple(Expression(terms, i) for i, terms in defs), (Expression(out),))
-    with pytest.raises(ValueError, match="each definition needs a fresh id"):
-        build_tree(r)
+def test_build_tree_rejects_a_malformed_result(defs, out, message):
+    # refused when made, so no malformed result reaches build_tree
+    with pytest.raises(ValueError, match=message):
+        cse_rows.result(2, defs, [out])
 
 
 def test_build_tree_peak_memory():
@@ -404,4 +402,4 @@ def test_build_tree_equals_the_reference(result, arity, aligned):
         g.stage.tolist(),
         [list(zip(node[a:b], sign[a:b])) for a, b in zip(start, start[1:])],
     )
-    assert got == tree_ref.build_tree(result, arity, aligned)
+    assert got == tree_ref.build_tree(result.n_inputs, *cse_rows.rows(result), arity, aligned)

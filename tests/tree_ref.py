@@ -66,23 +66,23 @@ def _pack(b: _Builder, nids: list[int], signs: list[int], arity: int) -> tuple[i
     return (qn[i], qs[i]) if j == len(made) else (made[j], 1)
 
 
-def build_tree(result, arity=2, align_outputs=True):
+def build_tree(n_inputs, defs, outs, arity=2, align_outputs=True):
     """(kinds, stages, operands) of a CSE result packed into adder trees.
 
-    ``result`` needs ``n_inputs``, ``definitions`` (each with ``id`` and
-    ``terms``) and ``outputs`` (each with ``terms``). Definitions are built
-    first, in order; then every output, padded with delays to the stage of
-    the deepest one when ``align_outputs`` is set.
+    ``defs`` lists each definition as ``(id, terms)`` and ``outs`` the terms
+    of each output, a term being a (variable, sign) pair. Definitions are
+    built first, in order; then every output, padded with delays to the
+    stage of the deepest one when ``align_outputs`` is set.
     """
     b = _Builder()
-    env = {i: (b.new("in", 0), 1) for i in range(result.n_inputs)}  # variable -> (node, sign)
+    env = {i: (b.new("in", 0), 1) for i in range(n_inputs)}  # variable -> (node, sign)
 
     def pack(terms):
         return _pack(b, [env[v][0] for v, _ in terms], [s * env[v][1] for v, s in terms], arity)
 
-    for d in result.definitions:
-        env[d.id] = pack(d.terms)
-    roots = [pack(e.terms) if e.terms else None for e in result.outputs]
+    for i, terms in defs:
+        env[i] = pack(terms)
+    roots = [pack(terms) if terms else None for terms in outs]
     target = max((b.stages[r[0]] for r in roots if r is not None), default=0) if align_outputs else 0
     for r in roots:
         if r is None:
