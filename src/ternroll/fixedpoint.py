@@ -91,4 +91,5 @@ def shift_right_round(p, bits: int):
     with ties away from zero."""
     if bits == 0:
         return p
-    return np.sign(p) * ((np.abs(p) + (1 << (bits - 1))) >> bits)
+    # a negative p adds one less, so its ties floor away from zero too
+    return (p + ((1 << (bits - 1)) - (p < 0))) >> bits

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,36 +68,41 @@ class TernaryMatrix:
         """Fraction of zero entries, in [0, 1]."""
         return float(np.count_nonzero(self.entries == 0)) / (self.rows * self.cols)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Exact integer product entries @ x, as int64.
+    @cached_property
+    def _fullest(self) -> int:
+        """Most nonzeros in a row, at least 1."""
+        return max(1, int(np.count_nonzero(self.entries, axis=1).max()))
 
-        Every partial sum of a row, in any order, is an integer no larger
-        than B = (most nonzeros in a row) * max|x|. Below 2^53 float64
-        represents all of them, so BLAS computes the product exactly; below
-        2^63 int64 does. Past that the sum could wrap: ValueError.
+    def product_dtype(self, x: np.ndarray) -> type:
+        """The narrowest type in which products with integers no larger
+        than max|x| are exact.
+
+        Every partial sum of a row, in any order and with or without FMA,
+        is an integer of magnitude at most B = max(1, most nonzeros in a
+        row) * max|x|. float32 represents every such integer when B < 2^24,
+        float64 when B < 2^53 and int64 when B < 2^63; past that a sum
+        could wrap: ValueError.
         """
-        x = np.asarray(x, dtype=np.int64)
         peak = max(-int(x.min(initial=0)), int(x.max(initial=0)))
-        bound = int(np.count_nonzero(self.entries, axis=1).max()) * peak
-        if bound < 1 << 53:
-            w = self.entries.astype(np.float64)
-            if x.ndim < 2:
-                return (w @ x.astype(np.float64)).astype(np.int64)
-            # at most 2 MiB of x in float64 at a time: a whole copy beside a
-            # large x (a conv layer's patches) doubles what a call holds, and
-            # past glibc's heap trim threshold (twice the largest block it has
-            # mapped, 9 MiB after a 4.5 MiB one) that memory is given back and
-            # faulted in again on every call
-            out = np.empty((self.rows, x.shape[1]), np.int64)
-            step = max(1, (1 << 18) // max(1, len(x)))
-            for lo in range(0, x.shape[1], step):
-                out[:, lo : lo + step] = w @ x[:, lo : lo + step].astype(np.float64)
-            return out
-        if bound < 1 << 63:
-            return self.entries.astype(np.int64) @ x
+        bound = self._fullest * peak
+        for dtype, bits in ((np.float32, 24), (np.float64, 53), (np.int64, 63)):
+            if bound < 1 << bits:
+                return dtype
         raise ValueError(
             f"{self.rows}x{self.cols} product with |x| up to {peak} can reach {bound}, past int64"
         )
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """x @ entries.T for an (n, cols) or (cols,) x of product_dtype,
+        computed in that type (BLAS for the floats) and returned as int64."""
+        return (x @ self.entries.T.astype(x.dtype)).astype(np.int64, copy=False)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Exact integer product entries @ x for an int64 x of shape (cols,)
+        or (cols, n), as int64, computed by ``product`` in the type
+        ``product_dtype`` proves exact."""
+        x = np.asarray(x, dtype=np.int64)
+        return self.product(x.T.astype(self.product_dtype(x), copy=False)).T
 
 
 @dataclass(frozen=True)

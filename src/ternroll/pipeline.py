@@ -127,13 +127,19 @@ class WindowBuffer:
 
 
 def patch_matrix(img: ImageStream, kernel: int) -> np.ndarray:
-    """(H*W, kernel*kernel*channels) matrix of all zero-padded patches in
-    raster order: the patches a WindowBuffer emits, computed as one view."""
-    _check_window(img.width, img.height, kernel)
+    """(H*W, kernel*kernel*channels) int64 matrix of all zero-padded
+    patches in raster order: the patches a WindowBuffer emits."""
+    return _patches(img.data, kernel)
+
+
+def _patches(data: np.ndarray, kernel: int) -> np.ndarray:
+    """The patch matrix of an (H, W, C) array, in its dtype, computed as one view."""
+    height, width = data.shape[:2]
+    _check_window(width, height, kernel)
     pad = kernel // 2
-    padded = np.pad(img.data, ((pad, pad), (pad, pad), (0, 0)))
+    padded = np.pad(data, ((pad, pad), (pad, pad), (0, 0)))
     windows = sliding_window_view(padded, (kernel, kernel), axis=(0, 1))  # (H, W, C, k, k)
-    return windows.transpose(0, 1, 3, 4, 2).reshape(img.height * img.width, -1)
+    return windows.transpose(0, 1, 3, 4, 2).reshape(height * width, -1)
 
 
 def max_pool(img: ImageStream, k: int, n: int) -> ImageStream:
@@ -232,15 +238,15 @@ def simulate(
                 raise ValueError(
                     f"layer {idx}: {kind.lower()} weights are {t.rows}x{t.cols}, layer needs {rows}x{cols}"
                 )
-            if kind == "Conv":
-                inputs = patch_matrix(ImageStream(x, act.frac_bits), layer.kernel).T
-            else:
-                inputs = x.reshape(-1)
             try:
-                sums = t.matvec(inputs)
+                if kind == "Conv":
+                    # max|x| of the map bounds its patches: padding adds zeros
+                    patches = _patches(x.astype(t.product_dtype(x), copy=False), layer.kernel)
+                    x = t.product(patches).reshape(x.shape[0], x.shape[1], rows)
+                else:
+                    x = t.matvec(x.reshape(-1))
             except ValueError as e:
                 raise ValueError(f"layer {idx}: {kind.lower()} {e}") from e
-            x = sums.T.reshape(x.shape[0], x.shape[1], rows) if kind == "Conv" else sums
             following = net.layers[idx + 1].kind if idx + 1 < len(net.layers) else None
             if following != "ScaleShift":
                 x = saturate(x, act, counter)

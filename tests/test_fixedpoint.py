@@ -182,6 +182,18 @@ def test_shift_right_round_matches_float(p, bits):
     assert shift_right_round(p, bits) == want
 
 
+def test_shift_right_round_on_int64_ties():
+    # +-(k + 1/2) * 2^bits round away from zero, the values beside a tie to nearest
+    bits = 4
+    k = np.array([0, 1, 2, 7, 2**40], dtype=np.int64)
+    ties = (k << bits) + (1 << (bits - 1))
+    for sign in (1, -1):
+        for offset, want in ((-1, k), (0, k + 1), (1, k + 1)):
+            got = shift_right_round(sign * (ties + offset), bits)
+            assert got.dtype == np.int64
+            assert got.tolist() == (sign * want).tolist()
+
+
 def test_shift_right_round_zero_bits():
     assert shift_right_round(12345, 0) == 12345
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -148,7 +148,7 @@ def test_matvec_exact(rng):
 
 
 def test_matvec_in_column_blocks(rng):
-    # 600 rows of x make blocks of 436 columns: two whole ones and a part
+    # 1000 columns of x: whole and partial column blocks in BLAS's kernels
     m = random_ternary(3, 600, 0.4, rng)
     x = rng.integers(-(2**15), 2**15, size=(600, 1000))
     assert np.array_equal(m.matvec(x), m.entries.astype(np.int64) @ x)
@@ -159,14 +159,15 @@ INT64_MAX = (1 << 63) - 1
 
 @st.composite
 def _matvec_cases(draw):
-    """A trit matrix and an int64 x whose bound B = (most nonzeros in a row)
-    * max|x| lands just below or above 2^53 or 2^63, or whose peak is an
-    int64 extreme."""
+    """A trit matrix and an int64 x whose bound B = max(1, most nonzeros in
+    a row) * max|x| lands just below or above 2^24, 2^53 or 2^63, or whose
+    peak is an int64 extreme."""
     rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 40))
     entries = draw(hnp.arrays(np.int8, (rows, cols), elements=st.integers(-1, 1)))
     per_row = np.count_nonzero(entries, axis=1)
     nnz = max(1, int(per_row.max()))
-    near = st.builds(lambda t, d: t // nnz + d, st.sampled_from((1 << 53, 1 << 63)), st.integers(-2, 2))
+    tier_ends = st.sampled_from((1 << 24, 1 << 53, 1 << 63))
+    near = st.builds(lambda t, d: t // nnz + d, tier_ends, st.integers(-2, 2))
     peak = min(draw(near | st.sampled_from((INT64_MAX, 1 << 63))), 1 << 63)  # 2^63: int64 min
     shape = draw(st.sampled_from(((cols,), (cols, 1), (cols, 3))))
     small = min(peak, INT64_MAX)
@@ -183,14 +184,20 @@ def _matvec_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(case=_matvec_cases())
+# a signed sum of 2^24 + 1, which float32 cannot represent
+@example(case=(TernaryMatrix(np.array([[1, 1, -1, 0]])), np.array([1 << 23, (1 << 23) + 2, 1, 5])))
+# an all-zero matrix counts one nonzero in B, so |x| near 2^62 takes int64
+@example(case=(TernaryMatrix(np.zeros((3, 2))), np.array([[(1 << 62) - 1, 7], [-(1 << 62), (1 << 62) + 1]])))
 def test_matvec_equals_python_int_product_or_refuses(case):
     m, x = case
     peak = max(-int(x.min()), int(x.max()))
-    bound = int(np.count_nonzero(m.entries, axis=1).max()) * peak
+    bound = max(1, int(np.count_nonzero(m.entries, axis=1).max())) * peak
     if bound >= 1 << 63:
         with pytest.raises(ValueError, match=rf"{m.rows}x{m.cols} product .*{bound}"):
             m.matvec(x)
         return
+    tiers = ((np.float32, 24), (np.float64, 53), (np.int64, 63))
+    assert m.product_dtype(x) is next(dtype for dtype, bits in tiers if bound < 1 << bits)
     got = m.matvec(x)
     assert got.dtype == np.int64
     assert got.tolist() == (m.entries.astype(object) @ x.astype(object)).tolist()

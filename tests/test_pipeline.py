@@ -399,11 +399,6 @@ def test_full_vgg7_simulate_with_patchwise_oracle(rng):
     assert np.array_equal(tree_out, direct)
 
 
-def _int64_matvec(self, x):
-    """The reference product: entries @ x accumulated in int64."""
-    return self.entries.astype(np.int64) @ np.asarray(x, dtype=np.int64)
-
-
 def test_vgg7_simulate_equals_the_int64_product(monkeypatch):
     # VGG-7's shapes reach the blocked BLAS kernels that small matrices do not
     net = vgg7_cifar10()
@@ -419,9 +414,22 @@ def test_vgg7_simulate_equals_the_int64_product(monkeypatch):
             weights[idx] = ScaleShiftParams(tuple(c), tuple(rng.uniform(-0.5, 0.5, t.rows)))
     images = [ImageStream(rng.integers(-amp, amp, size=(32, 32, 3))) for amp in (256, 2**15)]
     got = [simulate(net, weights, img) for img in images]
-    monkeypatch.setattr(TernaryMatrix, "matvec", _int64_matvec)
+    # every Conv and Dense product goes through TernaryMatrix.product: swap
+    # it for the reference, entries accumulated in int64, and record the
+    # type simulate chose for each call
+    types = []
+
+    def int64_product(self, x):
+        types.append(x.dtype.type)
+        # below 2^24 (2^53) the cast to float32 (float64) lost nothing
+        assert np.abs(x).max() < {np.float32: 2.0**24, np.float64: 2.0**53}[x.dtype.type]
+        return x.astype(np.int64) @ self.entries.T.astype(np.int64)
+
+    monkeypatch.setattr(TernaryMatrix, "product", int64_product)
     assert got == [simulate(net, weights, img) for img in images]
     assert got[0].saturations == 0 < got[1].saturations
+    assert len(types) == len(images) * sum(layer.kind in ("Conv", "Dense") for layer in net.layers)
+    assert {np.float32, np.float64} <= set(types)
 
 
 def test_simulate_refuses_a_conv_sum_past_int64():
