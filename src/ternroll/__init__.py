@@ -6,7 +6,7 @@ from .cse import (
     CseStats,
     ExtractionEvent,
     bu_cse,
-    expand_rows,
+    expand_paths,
     find_counterexample,
     no_cse,
     td_cse,
@@ -39,11 +39,8 @@ from .treegen import (
     CostReport,
     build_tree,
     cost,
-    evaluate,
     evaluate_batch,
-    evaluate_serial,
     schedule_serial,
-    serial_sum,
     validate_graph,
 )
 
@@ -72,10 +69,8 @@ __all__ = [
     "build_tree",
     "cost",
     "emit_netlist",
-    "evaluate",
     "evaluate_batch",
-    "evaluate_serial",
-    "expand_rows",
+    "expand_paths",
     "find_counterexample",
     "load_network",
     "max_pool",
@@ -86,7 +81,6 @@ __all__ = [
     "random_ternary",
     "scale_shift",
     "schedule_serial",
-    "serial_sum",
     "simulate",
     "sparsity_sweep",
     "td_cse",

@@ -12,8 +12,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import netlist
 from .cse import CseResult, bu_cse, find_counterexample, format_cse, no_cse, parse_cse, td_cse
 from .matrices import TernaryMatrix, format_tmx, load_fmx, load_tmx
@@ -25,7 +23,6 @@ from .treegen import (
     area_slice_estimate,
     build_tree,
     cost,
-    evaluate_batch,
     schedule_serial,
 )
 
@@ -76,19 +73,12 @@ def _build_graph(result: CseResult, arity: int, interval: int, align: bool, name
     return schedule_serial(g, interval)
 
 
-# Values evaluate_batch holds at once (one row per graph node): the basis goes
-# through in blocks of columns so wide layers stay within a few tens of MiB.
-_EVAL_BUDGET = 1 << 22
-
-
-def _prove_graph(m: TernaryMatrix, g) -> None:
-    """The graph's outputs on every standard basis vector are ``m``'s columns."""
-    step = max(1, _EVAL_BUDGET // len(g.kind))
-    for lo in range(0, m.cols, step):
-        hi = min(lo + step, m.cols)
-        basis = np.eye(m.cols, hi - lo, -lo, dtype=np.int64)  # e_lo .. e_(hi-1)
-        if not np.array_equal(evaluate_batch(g, basis), m.entries[:, lo:hi]):
-            raise GraphValidationError(f"adder graph differs from its matrix in columns {lo}-{hi - 1}")
+def _prove(m, result, what: str) -> None:
+    """``result`` computes ``m``'s map exactly (see ``find_counterexample``);
+    otherwise ``GraphValidationError`` names the first differing column."""
+    e = find_counterexample(m, result)
+    if e is not None:
+        raise GraphValidationError(f"{what} in column {int(e.argmax())}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +104,7 @@ def _cmd_sweep_eps(args) -> int:
 def _cmd_cse(args) -> int:
     m = load_tmx(args.infile)
     result = _run_cse(args.method, m)
-    e = find_counterexample(m, result)  # a proof on the standard basis
-    if e is not None:
-        raise GraphValidationError(f"cse result differs from its matrix in column {int(e.argmax())}")
+    _prove(m, result, "cse result differs from its matrix")
     print("verify=ok")
     _atomic_write(args.outfile, format_cse(result))
     print(
@@ -130,6 +118,7 @@ def _cmd_tree(args) -> int:
     with open(args.infile, "r", encoding="ascii") as f:
         result = parse_cse(f.read(), n_inputs=args.inputs)
     g = _build_graph(result, args.arity, args.interval, not args.no_align, args.name)
+    _prove(result, g, "adder graph differs from its listing")
     _atomic_write(args.outfile, netlist.emit(g))
     _print_cost(g)
     return 0
@@ -139,7 +128,7 @@ def _cmd_emit(args) -> int:
     m = load_tmx(args.infile)
     result = _run_cse(args.method, m)
     g = _build_graph(result, args.arity, args.interval, not args.no_align, args.name)
-    _prove_graph(m, g)
+    _prove(m, g, "adder graph differs from its matrix")
     _atomic_write(args.outfile, netlist.emit(g))
     _print_cost(g)
     return 0
@@ -240,6 +229,7 @@ def _cmd_report_ops(args) -> int:
         for i, layer in enumerate(net.layers):
             if layer.kind == "Conv":
                 g = _build_graph(_run_cse(args.method, weights[i]), args.arity, intervals[i], True, "")
+                _prove(weights[i], g, f"layer {i}: adder graph differs from its matrix")
                 cse_costs[i] = cost(g).adds_plus_regs
     table = op_count(net, weights, cse_costs)
     print(f"{'Layer':<8} {'Formula':<22} {'MACs':>12} {'WithSparsity':>14} {'WithCSE':>12}")

@@ -9,9 +9,9 @@ repeatedly extracts the biggest one; the extracted pattern is appended to the
 working set as a fresh row so its own sub-patterns stay discoverable.
 
 Both passes are deterministic: frequency or size decides first, then the
-documented tie-breaks. Both preserve exact symbolic equivalence:
-``expand_rows`` gives a result's coefficient matrix and
-``find_counterexample`` compares it with the input matrix.
+documented tie-breaks. Both preserve exact symbolic equivalence, which
+``find_counterexample`` proves by expanding a result's paths
+(``expand_paths``) and comparing the coefficients with the input matrix.
 """
 
 from __future__ import annotations
@@ -113,6 +113,17 @@ class CseResult(FrozenArrays):
     @property
     def n_outputs(self) -> int:
         return len(self.term_start) - 1 - len(self.ids)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_outputs, self.n_inputs
+
+    def expansion(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (output, input, coefficient) triples of the map (see ``expand_paths``)."""
+        n_in = self.n_inputs
+        start = np.r_[np.zeros(n_in, np.int64), self.term_start]  # the inputs, then the rows
+        roots = n_in + len(self.ids) + np.arange(self.n_outputs)
+        return expand_paths(start, self.term_values(), self.term_sign, roots, np.arange(len(start) - 1) < n_in)
 
     @property
     def stats(self) -> CseStats:
@@ -489,34 +500,71 @@ def bu_cse(
 # Equivalence checking
 
 
-def expand_rows(result: CseResult) -> np.ndarray:
-    """Symbolically substitute definitions into outputs, as coefficient rows."""
-    n_in, start, sign, val = result.n_inputs, result.term_start.tolist(), result.term_sign, result.term_values()
-    # row v: the coefficients of value v (the inputs, then the definitions), then of the outputs
-    coeff = np.eye(len(start) - 1 + n_in, n_in, dtype=np.int32)
-    for r, (lo, hi) in enumerate(zip(start, start[1:])):
-        coeff[n_in + r] = sign[lo:hi] @ coeff[val[lo:hi]]
-    return coeff[n_in + len(result.ids) :]
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i]:starts[i] + counts[i]``, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def find_counterexample(m: TernaryMatrix, result: CseResult) -> np.ndarray | None:
-    """The basis vector e_j of the first column on which the result differs
+def _merge(key: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, with their coefficients summed; zero sums dropped."""
+    order = np.argsort(key, kind="stable")  # timsort: merges the sorted runs callers hand in
+    key, coef = key[order], coef[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])[: len(key)]
+    coef = np.add.reduceat(coef, first)
+    keep = coef != 0
+    return key[first][keep], coef[keep]
+
+
+def expand_paths(start, node, sign, roots, leaves) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A DAG of signed sums as sparse (root, input, coefficient) triples in
+    (root, input) order: the proof rule of CSE results and adder graphs.
+
+    Node i is the sum of ``sign[j]`` times node ``node[j]`` for ``j`` in
+    ``start[i]:start[i + 1]``; the nodes marked in ``leaves`` are the inputs,
+    input k being the k-th of them. The coefficient of input k in root r is
+    the sum, over every path from r down to k, of the product of its signs
+    (the path-sum rule of an acyclic signal-flow graph). Paths advance a
+    level a step, a path at a non-input node becoming one per operand, and
+    the paths of one root at one node merge into one, their coefficients
+    summed and zeros dropped. So no step holds more than roots x nodes
+    entries, cancelling paths included, and the rule is complete for any
+    acyclic netlist. The sums are int64 and wrap as evaluating the nodes in
+    int64 does: the coefficients are the outputs on the standard basis.
+    """
+    leaves = np.asarray(leaves, dtype=bool)
+    n = len(leaves)
+    count = np.diff(start)
+    key, coef = np.arange(len(roots)) * n + np.asarray(roots, np.int64), np.ones(len(roots), np.int64)
+    while (inner := ~leaves[key % n]).any():
+        row, at = np.divmod(key[inner], n)
+        j = _ranges(start[at], count[at])
+        key = np.concatenate([key[~inner], np.repeat(row * n, count[at]) + node[j]])
+        coef = np.concatenate([coef[~inner], np.repeat(coef[inner], count[at]) * sign[j]])
+        key, coef = _merge(key, coef)
+    row, at = np.divmod(key, n)
+    return row, (np.cumsum(leaves) - 1)[at], coef
+
+
+def find_counterexample(m, result) -> np.ndarray | None:
+    """The basis vector e_j of the first column on which ``result`` differs
     from ``m``, or None when it computes exactly ``m @ x``.
 
-    The result is a linear integer map, so comparing its coefficient matrix
-    with ``m`` is the same as checking every input on the standard basis: a
-    complete proof, not a sample.
+    Each is a ``TernaryMatrix``, ``CseResult`` or ``AdderGraph``: a linear
+    integer map, given exactly by its ``expansion()`` triples (see
+    ``expand_paths``). So this is a complete proof, not a sample: the
+    triples of ``result`` and the negated ones of ``m`` are summed by (row,
+    column), and whatever is left nonzero differs.
     """
-    if (result.n_outputs, result.n_inputs) != (m.rows, m.cols):
-        raise ValueError(
-            f"result is {result.n_outputs}x{result.n_inputs} (outputs x inputs), "
-            f"matrix is {m.rows}x{m.cols}"
-        )
-    bad = np.flatnonzero((expand_rows(result) != m.entries).any(axis=0))
-    if not bad.size:
+    (rows, cols), other = result.shape, m.shape
+    if (rows, cols) != other:
+        raise ValueError(f"result is {rows}x{cols} (outputs x inputs), matrix is {other[0]}x{other[1]}")
+    (r, c, v), (r2, c2, v2) = result.expansion(), m.expansion()
+    key, _ = _merge(np.concatenate([r * cols + c, r2 * cols + c2]), np.concatenate([v, -v2]))
+    if not len(key):
         return None
-    e = np.zeros(m.cols, dtype=np.int64)
-    e[bad[0]] = 1
+    e = np.zeros(cols, dtype=np.int64)
+    e[(key % cols).min()] = 1
     return e
 
 

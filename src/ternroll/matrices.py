@@ -64,6 +64,15 @@ class TernaryMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.entries.shape
+
+    def expansion(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (row, column, entry) triples of the nonzero entries, row by row."""
+        rows, cols = np.nonzero(self.entries)
+        return rows, cols, self.entries[rows, cols]
+
     def sparsity(self) -> float:
         """Fraction of zero entries, in [0, 1]."""
         return float(np.count_nonzero(self.entries == 0)) / (self.rows * self.cols)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cse import CseResult, FrozenArrays
+from .cse import CseResult, FrozenArrays, _ranges, expand_paths
 
 IN, ADD, DELAY, OUT = range(4)  # node kind codes, indices into KINDS
 KINDS = ("in", "add", "delay", "out")
@@ -67,6 +67,15 @@ class AdderGraph(FrozenArrays):
     @property
     def outputs(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.kind == OUT).tolist())
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return int(np.count_nonzero(self.kind == OUT)), int(np.count_nonzero(self.kind == IN))
+
+    def expansion(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (output, input, coefficient) triples of the map (see ``expand_paths``)."""
+        start, node, sign = self.operand_start, self.operand_node, self.operand_sign
+        return expand_paths(start, node, sign, np.flatnonzero(self.kind == OUT), self.kind == IN)
 
 
 @dataclass(frozen=True)
@@ -254,12 +263,6 @@ def _delays(node, stage, target, key, slot, first_id: int, op_node: np.ndarray):
     return d_node, d_stage, np.repeat(key, new)
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges ``starts[i]:starts[i] + counts[i]``, concatenated."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
-
-
 def _merge(n: np.ndarray, stage: np.ndarray, arity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge positions of a wave of sums, all packed at once.
 
@@ -410,58 +413,3 @@ def evaluate_batch(g: AdderGraph, xs: np.ndarray) -> np.ndarray:
             else:
                 acc -= vals[node[j]]
     return vals[list(g.outputs)]
-
-
-def evaluate(g: AdderGraph, inputs) -> list[int]:
-    """Exact signed evaluation on one input vector, in int64: wide enough that
-    no intermediate overflows for 16-bit inputs and thousands of terms."""
-    xs = np.asarray(list(inputs), dtype=np.int64).reshape(-1, 1)
-    return [int(v) for v in evaluate_batch(g, xs)[:, 0]]
-
-
-def serial_sum(addends: list[tuple[int, int]], digits: int, total_bits: int = 16) -> int:
-    """Digit-serial signed sum with carry state, as the serial adder computes it.
-
-    Negative-sign operands are fed in ones-complement with the carry register
-    preloaded (the subtract carry-in); the carry is an integer so 3-input
-    adders work the same way. The result is the two's-complement value modulo
-    2**total_bits.
-    """
-    if total_bits % digits:
-        raise ValueError(f"{digits} digits do not divide {total_bits} bits")
-    width = total_bits // digits
-    mask_digit = (1 << width) - 1
-    mask_total = (1 << total_bits) - 1
-    raws = []
-    carry = 0
-    for val, sign in addends:
-        u = val & mask_total
-        if sign == 1:
-            raws.append(u)
-        else:
-            raws.append(u ^ mask_total)  # invert; the +1 rides in on the carry
-            carry += 1
-    out = 0
-    for d in range(digits):
-        shift = d * width
-        t = carry
-        for u in raws:
-            t += (u >> shift) & mask_digit
-        out |= (t & mask_digit) << shift
-        carry = t >> width
-    if out >= 1 << (total_bits - 1):
-        out -= 1 << total_bits
-    return out
-
-
-def evaluate_serial(g: AdderGraph, inputs) -> list[int]:
-    """Evaluate through digit-serial adders, modulo 2**total_bits per node."""
-    vals = [0] * len(g.kind)
-    for pos, nid in enumerate(g.inputs):
-        vals[nid] = serial_sum([(int(inputs[pos]), 1)], g.digits, g.total_bits)
-    start, node, sign = g.operand_start.tolist(), g.operand_node.tolist(), g.operand_sign.tolist()
-    for nid in g.nodes:
-        if start[nid] < start[nid + 1]:  # not an input, not an empty output
-            ops = range(start[nid], start[nid + 1])
-            vals[nid] = serial_sum([(vals[node[j]], sign[j]) for j in ops], g.digits, g.total_bits)
-    return [vals[o] for o in g.outputs]

@@ -23,13 +23,10 @@ from ternroll import (
     bu_cse,
     build_tree,
     cost,
-    evaluate,
     evaluate_batch,
-    evaluate_serial,
     no_cse,
     op_count,
     schedule_serial,
-    serial_sum,
     simulate,
     td_cse,
     ternarize,
@@ -42,6 +39,8 @@ from ternroll.pipeline import patch_matrix
 from ternroll.ternarize import sparsity_sweep, threshold
 
 from . import cse_rows, straightline_ref
+from .basis import evaluate
+from .serial_ref import evaluate_serial, serial_sum
 from .test_pipeline import gather_oracle, tiny_net, tiny_weights
 
 

@@ -18,7 +18,6 @@ from ternroll import (
     ImageStream,
     TernaryMatrix,
     build_tree,
-    evaluate,
     schedule_serial,
     simulate,
     td_cse,
@@ -34,6 +33,7 @@ from ternroll.network import ACTIVATIONS, LayerSpec, NetworkSpec, save_network
 from ternroll.pipeline import dump_img
 
 from . import cse_rows
+from .basis import evaluate
 from .test_pipeline import tiny_net, tiny_weights
 
 TMX_7X6 = "tmx 7 6\n00++00\n+0+++0\n0+00++\n0+000+\n+0++00\n+00+00\n0+00++\n"
@@ -117,27 +117,69 @@ def test_wrong_cse_result_fails_the_proof(tmp_path, m7x6_file, capsys, monkeypat
     assert sorted(os.listdir(tmp_path)) == ["m7x6.tmx"]
 
 
-@pytest.mark.parametrize(
-    "budget, columns", [(cli._EVAL_BUDGET, "0-5"), (1, "2-2")], ids=["one-block", "column-blocks"]
-)
-def test_wrong_adder_graph_fails_the_proof(tmp_path, m7x6_file, capsys, monkeypatch, budget, columns):
-    # row 0 of the matrix is 00++00, so its negation differs in columns 2 and 3
-    monkeypatch.setattr(cli, "_EVAL_BUDGET", budget)
-    assert main(["emit", "--method", "bu", m7x6_file, str(tmp_path / "ok.ngl")]) == 0
-    os.remove(tmp_path / "ok.ngl")
-    real = cli._build_graph
+def _first_output_negated(build):
+    """``_build_graph`` with the first output's operand sign flipped."""
 
-    def negate_first_output(*args):
-        g = real(*args)
+    def wrong(*args):
+        g = build(*args)
         sign = g.operand_sign.copy()
         sign[g.operand_start[g.outputs[0]]] *= -1
         return dataclasses.replace(g, operand_sign=sign)
 
-    monkeypatch.setattr(cli, "_build_graph", negate_first_output)
+    return wrong
+
+
+def test_wrong_adder_graph_fails_the_proof(tmp_path, m7x6_file, capsys, monkeypatch):
+    # row 0 of the matrix is 00++00, so its negation differs first in column 2
+    assert main(["emit", "--method", "bu", m7x6_file, str(tmp_path / "ok.ngl")]) == 0
+    os.remove(tmp_path / "ok.ngl")
+    monkeypatch.setattr(cli, "_build_graph", _first_output_negated(cli._build_graph))
     assert main(["emit", "--method", "bu", m7x6_file, str(tmp_path / "out.ngl")]) == 3
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"adder graph differs from its matrix in columns {columns}" in err
+    assert err.count("\n") == 1 and "adder graph differs from its matrix in column 2" in err
     assert sorted(os.listdir(tmp_path)) == ["m7x6.tmx"]
+
+
+def test_tree_proves_its_graph_against_the_listing(tmp_path, capsys, monkeypatch):
+    cse_path, ngl_path = tmp_path / "a.cse", tmp_path / "a.ngl"
+    cse_path.write_text("def x3 = +x0 -x2\nout 0 = +x1 +x3\nout 1 = -x3\n")
+    monkeypatch.setattr(cli, "_build_graph", _first_output_negated(cli._build_graph))
+    assert main(["tree", str(cse_path), str(ngl_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "ternroll: internal error: adder graph differs from its listing in column 0\n"
+    assert not ngl_path.exists()
+
+
+def test_tree_proof_is_sparse_in_the_inputs(tmp_path, capsys):
+    # a dense outputs x inputs comparison would hold 2,000 x 2^20 values
+    cse_path, ngl_path = tmp_path / "wide.cse", tmp_path / "wide.ngl"
+    cse_path.write_text("".join(f"out {i} = +x0 -x1048575\n" for i in range(2000)))
+    assert main(["tree", "--inputs", "1048576", str(cse_path), str(ngl_path)]) == 0
+    g = netlist.load(str(ngl_path))
+    assert g.shape == (2000, 1048576)
+    assert np.array_equal(g.expansion()[2], np.tile([1, -1], 2000))
+
+
+def test_report_ops_with_cse_proves_each_graph(tmp_path, capsys, rng, monkeypatch):
+    net_path, wdir, _ = _tiny_network_files(tmp_path, rng)
+    monkeypatch.setattr(cli, "_build_graph", _first_output_negated(cli._build_graph))
+    assert main(["report-ops", net_path, str(wdir), "--with-cse", "--method", "td"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ternroll: internal error: layer 1: adder graph differs from its matrix in column ")
+
+
+def test_emit_proves_a_wide_layer_without_basis_evaluation(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "w.tmx"
+    dump_tmx(random_ternary(256, 2304, 0.75, np.random.default_rng(1)), str(path))
+
+    def refuse(*args):
+        raise AssertionError("the proof evaluated the graph")
+
+    monkeypatch.setattr(ternroll.treegen, "evaluate_batch", refuse)
+    monkeypatch.setattr(ternroll, "evaluate_batch", refuse)
+    assert main(["emit", "--method", "none", str(path), str(tmp_path / "w.ngl")]) == 0
+    assert "Adds+Regs" in capsys.readouterr().out
 
 
 def test_stats_on_an_invalid_graph_exits_2(tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ternroll import (
     TernaryMatrix,
     bu_cse,
-    expand_rows,
     find_counterexample,
     no_cse,
     td_cse,
@@ -22,6 +21,7 @@ from ternroll.cse import (
 from ternroll.matrices import random_ternary
 
 from . import cse_ref, cse_rows
+from .basis import dense
 
 
 def terms(*pairs):
@@ -54,7 +54,7 @@ def test_td_first_extraction_and_rewritten_system(m7x6):
 def test_td_full_run_equivalent(m7x6):
     r = td_cse(m7x6)
     assert find_counterexample(m7x6, r) is None
-    assert np.array_equal(expand_rows(r), m7x6.entries.astype(np.int32))
+    assert np.array_equal(dense(r), m7x6.entries)
 
 
 def test_td_disjoint_singletons_no_extractions():
@@ -148,10 +148,10 @@ def test_bu_appended_row_is_further_decomposed(m7x6):
     defs, _ = cse_rows.rows(r)
     x6 = next(t for i, t in defs if i == 6)
     assert len(x6) == 2
-    expanded = expand_rows(cse_rows.result(r.n_inputs, defs, [((6, 1),)]))
+    expanded = dense(cse_rows.result(r.n_inputs, defs, [((6, 1),)]))
     assert expanded.tolist() == [[1, 0, 1, 1, 0, 0]]
     assert find_counterexample(m7x6, r) is None
-    assert np.array_equal(expand_rows(r), m7x6.entries.astype(np.int32))
+    assert np.array_equal(dense(r), m7x6.entries)
 
 
 def test_bu_definitions_topological(m7x6, rng):
@@ -185,7 +185,7 @@ def test_bu_grows_past_its_initial_capacity():
     room = np.count_nonzero(m.entries) // 8 + 1
     r = bu_cse(m)
     assert m.cols + room <= 64 < m.cols + r.stats.extractions
-    assert np.array_equal(expand_rows(r), m.entries.astype(np.int32))
+    assert np.array_equal(dense(r), m.entries)
 
 
 def test_bu_deterministic(rng):
@@ -309,7 +309,7 @@ def test_corrupted_result_found_with_witness(m7x6):
     bad = cse_rows.result(r.n_inputs, defs, flipped)
     w = find_counterexample(m7x6, bad)
     assert w.tolist() == [int(c == v) for c in range(6)]  # e_v, the flipped column
-    got = expand_rows(bad) @ w
+    got = dense(bad) @ w
     want = m7x6.matvec(w)
     assert any(int(a) != int(b) for a, b in zip(got, want))
 
@@ -328,7 +328,7 @@ def test_symbolic_expansion_random(rng):
     for _ in range(10):
         m = random_ternary(10, 14, 0.6, rng)
         for fn in (td_cse, bu_cse):
-            assert np.array_equal(expand_rows(fn(m)), m.entries.astype(np.int32))
+            assert np.array_equal(dense(fn(m)), m.entries)
 
 
 def test_all_zero_row_expression(rng):

@@ -19,7 +19,6 @@ from ternroll import (
     WindowBuffer,
     bu_cse,
     build_tree,
-    evaluate,
     max_pool,
     no_cse,
     op_count,

@@ -11,12 +11,9 @@ from ternroll import (
     bu_cse,
     build_tree,
     cost,
-    evaluate,
     evaluate_batch,
-    evaluate_serial,
     no_cse,
     schedule_serial,
-    serial_sum,
     td_cse,
     validate_graph,
 )
@@ -30,6 +27,8 @@ from ternroll.treegen import (
 )
 
 from . import cse_rows, graph_ref, tree_ref
+from .basis import evaluate
+from .serial_ref import evaluate_serial, serial_sum
 from .test_netlist_golden import CORPUS
 
 
