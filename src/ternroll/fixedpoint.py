@@ -86,6 +86,12 @@ def quantize(values, fmt: FixedPointFormat, counter: SaturationCounter | None = 
     return saturate(np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)), fmt, counter)
 
 
+def peak(x: np.ndarray) -> int:
+    """max|x| of an integer or integer-valued array as a Python int, 0 when
+    it is empty."""
+    return max(-int(x.min(initial=0)), int(x.max(initial=0)))
+
+
 def shift_right_round(p, bits: int):
     """Divide an integer or an int64 array by 2**bits, rounding to nearest
     with ties away from zero."""

@@ -8,9 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-TRIT_CHARS = {"-": -1, "0": 0, "+": 1}
-CHAR_OF_TRIT = {-1: "-", 0: "0", 1: "+"}
-
+from .fixedpoint import peak
 
 # an fmx value: optional sign, ASCII digits with an optional point, optional exponent
 _FMX_REAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
@@ -84,15 +82,19 @@ class TernaryMatrix:
 
     def product_dtype(self, x: np.ndarray) -> type:
         """The narrowest type in which products with integers no larger
-        than max|x| are exact.
+        than max|x| are exact: ``sum_dtype(peak(x))``."""
+        return self.sum_dtype(peak(x))
+
+    def sum_dtype(self, peak: int) -> type:
+        """The narrowest type in which products with integers of magnitude
+        at most ``peak`` are exact.
 
         Every partial sum of a row, in any order and with or without FMA,
         is an integer of magnitude at most B = max(1, most nonzeros in a
-        row) * max|x|. float32 represents every such integer when B < 2^24,
+        row) * peak. float32 represents every such integer when B < 2^24,
         float64 when B < 2^53 and int64 when B < 2^63; past that a sum
         could wrap: ValueError.
         """
-        peak = max(-int(x.min(initial=0)), int(x.max(initial=0)))
         bound = self._fullest * peak
         for dtype, bits in ((np.float32, 24), (np.float64, 53), (np.int64, 63)):
             if bound < 1 << bits:
@@ -139,11 +141,16 @@ class FloatMatrix:
         return self.entries.shape[1]
 
 
+#: the trit of each byte, 2 where the byte is no trit character
+_TRIT_OF_BYTE = np.full(256, 2, dtype=np.int8)
+_TRIT_OF_BYTE[np.frombuffer(b"-0+", dtype=np.uint8)] = (-1, 0, 1)
+_BYTE_OF_TRIT = np.frombuffer(b"-0+\n", dtype=np.uint8)  # indexed by trit + 1; 3 ends a line
+
+
 def format_tmx(m: TernaryMatrix) -> str:
-    lines = [f"tmx {m.rows} {m.cols}"]
-    for r in range(m.rows):
-        lines.append("".join(CHAR_OF_TRIT[int(v)] for v in m.entries[r]))
-    return "\n".join(lines) + "\n"
+    body = np.full((m.rows, m.cols + 1), 3, dtype=np.intp)
+    body[:, :-1] = m.entries + 1
+    return f"tmx {m.rows} {m.cols}\n" + _BYTE_OF_TRIT[body].tobytes().decode("ascii")
 
 
 def parse_tmx(text: str) -> TernaryMatrix:
@@ -159,15 +166,19 @@ def parse_tmx(text: str) -> TernaryMatrix:
         raise MatrixFormatError(f"expected {rows} rows, found {len(body)}")
     if any(s.strip() for s in body[rows:]):
         raise MatrixFormatError(f"trailing content after row {rows}")
-    a = np.zeros((rows, cols), dtype=np.int8)
-    for r, line in enumerate(body[:rows]):
-        if len(line) != cols:
-            raise MatrixFormatError(f"line {r + 2}: expected {cols} characters, got {len(line)}")
-        for c, ch in enumerate(line):
-            if ch not in TRIT_CHARS:
-                raise MatrixFormatError(f"line {r + 2}, column {c + 1}: invalid character {ch!r}")
-            a[r, c] = TRIT_CHARS[ch]
-    return TernaryMatrix(a)
+    body = body[:rows]
+    if all(len(line) == cols for line in body):
+        flat = "".join(body)
+        if flat.isascii():
+            trits = _TRIT_OF_BYTE[np.frombuffer(flat.encode("ascii"), dtype=np.uint8)]
+            if trits.max() < 2:
+                return TernaryMatrix(trits.reshape(rows, cols))
+    # some row is malformed: word the first error
+    r, line = next((r, line) for r, line in enumerate(body) if len(line) != cols or line.strip("-0+"))
+    if len(line) != cols:
+        raise MatrixFormatError(f"line {r + 2}: expected {cols} characters, got {len(line)}")
+    c = len(line) - len(line.lstrip("-0+"))
+    raise MatrixFormatError(f"line {r + 2}, column {c + 1}: invalid character {line[c]!r}")
 
 
 def format_fmx(m: FloatMatrix) -> str:

@@ -25,6 +25,7 @@ from .fixedpoint import (
     SCALE_FORMAT,
     FixedPointFormat,
     SaturationCounter,
+    peak,
     quantize,
     saturate,
     shift_right_round,
@@ -156,6 +157,29 @@ def max_pool(img: ImageStream, k: int, n: int) -> ImageStream:
     return ImageStream(windows.max(axis=(3, 4)), img.frac_bits)
 
 
+class _ScaleShift:
+    """A ScaleShift's datapath with its constants quantized once: ``c`` to
+    the scale format and ``b`` to the activation format, as raw int64."""
+
+    def __init__(self, params: ScaleShiftParams, scale_fmt: FixedPointFormat, act_fmt: FixedPointFormat):
+        self.c, self.b = quantize(params.c, scale_fmt), quantize(params.b, act_fmt)
+        self.c_peak, self.b_peak = peak(self.c), peak(self.b)
+        self.scale_fmt, self.act_fmt = scale_fmt, act_fmt
+
+    def check(self, x_peak: int) -> None:
+        """Refuse arithmetic that inputs of magnitude at most ``x_peak`` could
+        take past int64: the largest |c*x| plus the rounding half, and the
+        rounded quotient plus |b|, in Python ints."""
+        fmt = self.scale_fmt
+        rounded = x_peak * self.c_peak + (fmt.scale >> 1)
+        if max(rounded, (rounded >> fmt.frac_bits) + self.b_peak) >= 1 << 63:
+            raise ValueError(f"scale-shift by {fmt} constants and {self.act_fmt} shifts overflows int64")
+
+    def __call__(self, x: np.ndarray, act: str, counter: SaturationCounter | None) -> np.ndarray:
+        y = saturate(shift_right_round(x * self.c, self.scale_fmt.frac_bits) + self.b, self.act_fmt, counter)
+        return np.maximum(y, 0) if act == "ReLU" else y
+
+
 def scale_shift(
     x,
     params: ScaleShiftParams,
@@ -169,23 +193,15 @@ def scale_shift(
     ``x`` is a raw integer channel vector (or an array whose last axis is
     channels); it need not fit the activation format on entry, the result
     always does. The constants are quantized to the scale format (``c``) and
-    pre-aligned to the activation format (``b``).
+    pre-aligned to the activation format (``b``). Arithmetic that max|x|
+    could take past int64 is refused with a ValueError.
     """
     x = np.asarray(x, dtype=np.int64)
-    c_raw, b_raw = quantize(params.c, scale_fmt), quantize(params.b, act_fmt)
+    step = _ScaleShift(params, scale_fmt, act_fmt)
     if x.shape[-1] != len(params.c):
         raise ValueError(f"expected {len(params.c)} channels, got {x.shape[-1]}")
-    # per channel, in Python ints: the largest |c*x| plus the rounding half,
-    # and the rounded quotient plus |b|, must stay inside int64
-    rows = x.reshape(-1, x.shape[-1])
-    peak = np.maximum(-rows.min(axis=0, initial=0).astype(object), rows.max(axis=0, initial=0).astype(object))
-    rounded = peak * np.abs(c_raw.astype(object)) + (scale_fmt.scale >> 1)
-    if np.maximum(rounded, (rounded >> scale_fmt.frac_bits) + np.abs(b_raw.astype(object))).max() >= 1 << 63:
-        raise ValueError(f"scale-shift by {scale_fmt} constants and {act_fmt} shifts overflows int64")
-    y = saturate(shift_right_round(x * c_raw, scale_fmt.frac_bits) + b_raw, act_fmt, counter)
-    if act == "ReLU":
-        y = np.maximum(y, 0)
-    return y
+    step.check(peak(x))
+    return step(x, act, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +215,90 @@ class SimulationResult:
     saturations: int
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What simulating a network with one set of weights needs that no image
+    changes. ``sources`` holds each (layer, weight object) read, so that
+    their ids cannot be reused while the plan is kept; ``steps`` gives each
+    layer its TernaryMatrix or quantized ScaleShift constants;
+    ``image_checks`` lists (layer, gain) where the layer's input is at most
+    gain x the image's peak."""
+
+    sources: tuple[tuple[int, object], ...]
+    steps: tuple
+    image_checks: tuple[tuple[int, int], ...]
+
+
+def _check_width(net: NetworkSpec, idx: int, step, x_peak: int) -> None:
+    """Refuse, naming the layer, a sum or scale-shift product that inputs of
+    magnitude at most ``x_peak`` could take past int64."""
+    check = step.sum_dtype if isinstance(step, TernaryMatrix) else step.check
+    try:
+        check(x_peak)
+    except ValueError as e:
+        what = f"{net.layers[idx].kind.lower()} " if isinstance(step, TernaryMatrix) else ""
+        raise ValueError(f"layer {idx}: {what}{e}") from e
+
+
+def _build_plan(net: NetworkSpec, weights: dict) -> _Plan:
+    """Check the weights against the layers and bound every sum and product.
+
+    A stream the network saturated, like an image in the act format, is at
+    most A = 2^(act bits - 1) in magnitude. Each bound is checked here for
+    that, except that of the layer reading the image, which the image's own
+    peak bounds. The layers the image reaches before its first saturation
+    go into ``image_checks``, to be checked against that peak at entry.
+    """
+    act = net.act_format
+    full = -act.raw_min
+    # the stream's bound, and its bound as a multiple of the image's peak (None once saturated)
+    x_peak, gain = full, 1
+    sources, steps, image_checks = [], [], []
+    for idx, layer in enumerate(net.layers):
+        kind, w, step = layer.kind, weights.get(idx), None
+        if kind in ("Conv", "Dense"):
+            if not isinstance(w, TernaryMatrix):
+                raise ValueError(f"layer {idx}: {kind} needs a TernaryMatrix weight")
+            rows, cols = layer.weight_shape
+            if w.shape != (rows, cols):
+                raise ValueError(
+                    f"layer {idx}: {kind.lower()} weights are {w.rows}x{w.cols}, layer needs {rows}x{cols}"
+                )
+            step = w
+        elif kind == "ScaleShift":
+            if not isinstance(w, ScaleShiftParams):
+                raise ValueError(f"layer {idx}: ScaleShift needs ScaleShiftParams")
+            if len(w.c) != layer.in_channels:
+                raise ValueError(f"layer {idx}: expected {len(w.c)} channels, got {layer.in_channels}")
+            step = _ScaleShift(w, net.scale_format, act)
+        if step is not None:
+            if gain is not None:
+                image_checks.append((idx, gain))
+            if sources:  # not the layer that reads the image itself
+                _check_width(net, idx, step, x_peak)
+            sources.append((idx, w))
+            following = net.layers[idx + 1].kind if idx + 1 < len(net.layers) else None
+            if kind != "ScaleShift" and following == "ScaleShift":
+                x_peak, gain = x_peak * step._fullest, gain and gain * step._fullest
+            else:
+                x_peak, gain = full, None
+        steps.append(step)
+    return _Plan(tuple(sources), tuple(steps), tuple(image_checks))
+
+
+def _plan(net: NetworkSpec, weights: dict) -> _Plan:
+    """The network's plan for these weights: built at the first call and
+    kept on the network (frozen, so its checks cannot go stale) until the
+    weights of some layer are other objects."""
+    plan = net.__dict__.get("_simulation_plan")
+    if plan is None:
+        net.validate()
+    if plan is None or any(weights.get(idx) is not w for idx, w in plan.sources):
+        plan = _build_plan(net, weights)
+        object.__setattr__(net, "_simulation_plan", plan)
+    return plan
+
+
 def simulate(
     net: NetworkSpec,
     weights: dict[int, TernaryMatrix | ScaleShiftParams],
@@ -209,10 +309,11 @@ def simulate(
 
     ``weights`` maps layer index to a TernaryMatrix (Conv/Dense) or
     ScaleShiftParams (ScaleShift). Classification is the argmax of the final
-    output, lowest index on ties. A Conv/Dense sum that could leave int64 is
-    refused with a ValueError naming the layer.
+    output, lowest index on ties. A network whose sums or products could
+    leave int64 is refused with a ValueError naming the layer, before any
+    layer runs.
     """
-    net.validate()
+    plan = _plan(net, weights)
     if counter is None:
         counter = SaturationCounter()
     if (img.width, img.height, img.channels) != (net.input_width, net.input_width, net.input_channels):
@@ -226,35 +327,24 @@ def simulate(
             f"image has {img.frac_bits} fraction bits, the network's activation format "
             f"{act} has {act.frac_bits}"
         )
+    image_peak = peak(img.data)
+    for idx, gain in plan.image_checks:
+        _check_width(net, idx, plan.steps[idx], gain * image_peak)
     x = img.data  # (H, W, C) before the flattening Mux, a vector after it
     for idx, layer in enumerate(net.layers):
-        kind = layer.kind
+        kind, step = layer.kind, plan.steps[idx]
         if kind in ("Conv", "Dense"):
-            t = weights.get(idx)
-            if not isinstance(t, TernaryMatrix):
-                raise ValueError(f"layer {idx}: {kind} needs a TernaryMatrix weight")
-            rows, cols = layer.weight_shape
-            if (t.rows, t.cols) != (rows, cols):
-                raise ValueError(
-                    f"layer {idx}: {kind.lower()} weights are {t.rows}x{t.cols}, layer needs {rows}x{cols}"
-                )
-            try:
-                if kind == "Conv":
-                    # max|x| of the map bounds its patches: padding adds zeros
-                    patches = _patches(x.astype(t.product_dtype(x), copy=False), layer.kernel)
-                    x = t.product(patches).reshape(x.shape[0], x.shape[1], rows)
-                else:
-                    x = t.matvec(x.reshape(-1))
-            except ValueError as e:
-                raise ValueError(f"layer {idx}: {kind.lower()} {e}") from e
+            # max|x| of a Conv's map bounds its patches: padding adds zeros
+            x = x.astype(step.product_dtype(x), copy=False)
+            if kind == "Conv":
+                x = step.product(_patches(x, layer.kernel)).reshape(x.shape[0], x.shape[1], layer.filters)
+            else:
+                x = step.product(x.reshape(-1))
             following = net.layers[idx + 1].kind if idx + 1 < len(net.layers) else None
             if following != "ScaleShift":
                 x = saturate(x, act, counter)
         elif kind == "ScaleShift":
-            p = weights.get(idx)
-            if not isinstance(p, ScaleShiftParams):
-                raise ValueError(f"layer {idx}: ScaleShift needs ScaleShiftParams")
-            x = scale_shift(x, p, layer.activation, net.scale_format, act, counter)
+            x = step(x, layer.activation, counter)
         elif kind == "MaxPool":
             x = max_pool(ImageStream(x, act.frac_bits), layer.kernel, layer.stride).data
         elif kind == "Mux":

@@ -518,6 +518,19 @@ def test_simulate_scale_shift_past_int64_exits_2(tmp_path, capsys, rng):
     assert err.count("\n") == 1 and "Q2.62" in err and "int64" in err
 
 
+def test_simulate_64_bit_scale_format_exits_2_on_a_zero_image(tmp_path, capsys, rng):
+    # no product of a zero image leaves int64, but Q2.62 constants times conv
+    # sums of Q12.4 pixels could: the network is refused before it runs
+    net_path, wdir, img_path = _tiny_network_files(tmp_path, rng)
+    net = tiny_net()
+    save_network(NetworkSpec(net.layers, net.clock_hz, net.act_format, FixedPointFormat(64, 62)), net_path)
+    dump_img(ImageStream(np.zeros((8, 8, 1), dtype=np.int64)), img_path)
+    assert main(["simulate", net_path, img_path, "--weights", str(wdir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "layer 2: scale-shift" in err and "Q2.62" in err
+
+
 def test_simulate_conv_sum_past_int64_exits_2(tmp_path, capsys):
     # a scale-shift lifts 16-bit pixels to 2^62; the conv's 2^62 + 2^62 would wrap
     net = NetworkSpec(

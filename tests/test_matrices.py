@@ -15,6 +15,8 @@ from ternroll.matrices import (
     random_ternary,
 )
 
+from . import tmx_ref
+
 
 def test_sparsity_all_zero():
     m = TernaryMatrix(np.zeros((4, 4), dtype=np.int8))
@@ -121,14 +123,49 @@ def _text(tag, rows):
     return st.builds(lambda head, body: "\n".join([f"{tag} {head}", *body]), HEAD, st.lists(rows, max_size=3)) | st.text()
 
 
+def _outcome(parse, text):
+    """The parsed entries, or the format error's message."""
+    try:
+        return parse(text).entries.tolist()
+    except MatrixFormatError as e:
+        return str(e)
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=_text("tmx", TMX_ROW))
 def test_parse_tmx_parses_or_raises_its_format_error(text):
+    assert _outcome(parse_tmx, text) == _outcome(tmx_ref.parse_tmx, text)
     try:
         m = parse_tmx(text)
     except MatrixFormatError:
         return
     assert np.array_equal(parse_tmx(format_tmx(m)).entries, m.entries)
+
+
+_TRITS = hnp.arrays(np.int8, st.tuples(st.integers(1, 6), st.integers(1, 12)), elements=st.integers(-1, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=_TRITS)
+def test_tmx_text_equals_the_per_character_reference(entries):
+    m = TernaryMatrix(entries)
+    text = format_tmx(m)
+    assert text == tmx_ref.format_tmx(m)
+    assert np.array_equal(parse_tmx(text).entries, m.entries)
+
+
+@settings(max_examples=400, deadline=None)
+@given(entries=_TRITS, data=st.data())
+def test_tmx_parse_equals_the_reference_on_corrupted_text(entries, data):
+    # a valid file with a few characters replaced, dropped or added: either
+    # parser returns the same matrix or raises the same message
+    text = list(format_tmx(TernaryMatrix(entries)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        spot = data.draw(st.integers(0, len(text) - 1))
+        ch = data.draw(st.sampled_from(["", "x", " ", "\n", "\r", "\x0b", "\x85", "\u0661", "+", "-", "0", "++"]))
+        text[spot] = ch if data.draw(st.booleans()) else text[spot] + ch
+    text = "".join(text)
+    assert _outcome(parse_tmx, text) == _outcome(tmx_ref.parse_tmx, text)
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ternroll import (
@@ -22,12 +22,14 @@ from ternroll import (
     max_pool,
     no_cse,
     op_count,
+    quantize,
     scale_shift,
     simulate,
     ternarize,
     throughput_model,
     vgg7_cifar10,
 )
+from ternroll import pipeline
 from ternroll.matrices import random_ternary
 from ternroll.pipeline import (
     ImageFormatError,
@@ -437,6 +439,160 @@ def test_simulate_refuses_a_conv_sum_past_int64():
     weights = {0: TernaryMatrix(np.array([[1, 1]], dtype=np.int8))}
     with pytest.raises(ValueError, match=rf"layer 0: conv 1x2 product .*{2**63}, past int64"):
         simulate(net, weights, ImageStream(np.full((1, 1, 2), 2**62)))
+
+
+def test_simulate_refuses_a_64_bit_scale_format_before_the_first_layer(rng, monkeypatch):
+    # with an all-zero image no product ever leaves int64, but 1.5 in Q2.62
+    # times any conv sum of Q12.4 pixels could: the network is refused
+    net = tiny_net()
+    wide = NetworkSpec(net.layers, net.clock_hz, net.act_format, FixedPointFormat(64, 62))
+    products = []
+    monkeypatch.setattr(TernaryMatrix, "product", lambda self, x: products.append(x))
+    want = r"^layer 2: scale-shift by Q2\.62 constants and Q12\.4 shifts overflows int64$"
+    with pytest.raises(ValueError, match=want):
+        simulate(wide, tiny_weights(rng), ImageStream(np.zeros((8, 8, 1), dtype=np.int64)))
+    assert products == []
+
+
+def test_simulate_bounds_what_the_image_reaches_by_the_image_peak(rng):
+    # a scale-shift that reads the image: 2^14 * 2^48 fits int64, 2^15 * 2^48 does not
+    net = NetworkSpec((LayerSpec("ScaleShift", 1, 2),), 1e8, FixedPointFormat(64, 4), FixedPointFormat(64, 0))
+    w = {0: ScaleShiftParams((2.0**48, -(2.0**48)), (0.0, 0.0))}
+    assert simulate(net, w, ImageStream(np.full((1, 1, 2), 2**14))).scores == (2**62, -(2**62))
+    want = r"^layer 0: scale-shift by Q64\.0 constants and Q60\.4 shifts overflows int64$"
+    with pytest.raises(ValueError, match=want):
+        simulate(net, w, ImageStream(np.full((1, 1, 2), 2**15)))
+    # pixels far past Q12.4 lift the conv sums past the bound the act format gives
+    net, w = tiny_net(), tiny_weights(rng)
+    w[2] = ScaleShiftParams((2.0,) * 4, (0.0,) * 4)
+    with pytest.raises(ValueError, match=r"^layer 2: scale-shift"):
+        simulate(net, w, ImageStream(np.full((8, 8, 1), 2**59)))
+
+
+def test_simulate_quantizes_the_constants_once(rng, monkeypatch):
+    net, w = tiny_net(), tiny_weights(rng)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(calls))
+        return quantize(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "quantize", counting)
+    per_image = []
+    for _ in range(3):
+        simulate(net, w, ImageStream(rng.integers(-(2**11), 2**11, size=(8, 8, 1))))
+        per_image.append(len(calls))
+    assert per_image[0] > 0 and per_image == [per_image[0]] * 3
+
+
+def test_simulate_plan_follows_the_weights_it_is_given(rng):
+    # one network, two weight dicts that differ only in one ScaleShiftParams
+    net = tiny_net()
+    a = tiny_weights(rng)
+    b = dict(a)
+    b[2] = ScaleShiftParams(tuple(-v for v in a[2].c), a[2].b)
+    img = ImageStream(rng.integers(-(2**11), 2**11, size=(8, 8, 1)))
+    first = {"a": simulate(net, a, img), "b": simulate(net, b, img)}
+    assert first["a"] != first["b"]
+    for name, w in (("a", a), ("b", b)) * 2:
+        assert simulate(net, w, img) == first[name]
+
+
+def _exact_tiny_scores(net, w, img):
+    """The scores of the tiny network, or of its first three layers, in
+    Python ints, for any act and scale format."""
+    act, scl = net.act_format, net.scale_format
+
+    def clip(v):
+        return min(max(v, act.raw_min), act.raw_max)
+
+    sums = patch_matrix(img, 3).astype(object) @ w[1].entries.T.astype(object)
+    c, b = quantize(w[2].c, scl).tolist(), quantize(w[2].b, act).tolist()
+
+    def scale(v, ch):
+        p = v * c[ch]
+        q = (abs(p) + (scl.scale >> 1)) >> scl.frac_bits
+        return max(0, clip((q if p >= 0 else -q) + b[ch]))
+
+    y = np.array([[scale(v, ch) for ch, v in enumerate(row)] for row in sums.tolist()], dtype=object)
+    if len(net.layers) == 3:
+        return tuple(y.reshape(-1).tolist())
+    pooled = y.reshape(4, 2, 4, 2, 4).max(axis=(1, 3))
+    return tuple(clip(v) for v in (w[5].entries.astype(object) @ pooled.reshape(-1)).tolist())
+
+
+@st.composite
+def _formats(draw):
+    total = draw(st.integers(8, 64))
+    return FixedPointFormat(total, draw(st.integers(0, min(total - 1, 16))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    act=_formats(),
+    scl=_formats(),
+    seed=st.integers(0, 2**32 - 1),
+    top_bits=st.integers(0, 63),
+    loud=st.booleans(),
+    edge=st.none() | st.floats(-3, 1),
+    b_bits=st.integers(-16, 64),
+    sparse=st.booleans(),
+    head=st.booleans(),
+)
+# the conv sums of full-scale pixels times constants near 2^63 / sum
+@example(FixedPointFormat(16, 4), FixedPointFormat(56, 10), 5, 15, True, 0.5, 0, False, True)
+def test_width_rule_refuses_up_front_or_runs_exactly(
+    act, scl, seed, top_bits, loud, edge, b_bits, sparse, head
+):
+    rng = np.random.default_rng(seed)
+    net = tiny_net()
+    # the head (buffer, conv, scale-shift) shows every scale-shift output as a score
+    net = NetworkSpec(net.layers[:3] if head else net.layers, net.clock_hz, act, scl)
+    w = tiny_weights(rng)
+    if sparse:  # dense rows with few nonzeros leave room for a wide act format
+        w[5] = random_ternary(3, 64, 0.97, rng)
+    # images from a few lsbs up to the whole act range, extremes included
+    top = (1 << min(top_bits, act.total_bits - 1)) - 1
+    fullest = int(np.count_nonzero(w[1].entries, axis=1).argmax())
+    if loud:  # the fullest filter's signs tiled: the patch at (1, 1) sums its nonzeros x top
+        pixels = np.tile(w[1].entries[fullest].reshape(3, 3, 1), (3, 3, 1))[:8, :8] * np.int64(top)
+    else:
+        pixels = rng.integers(-top - 1, top, size=(8, 8, 1), endpoint=True)
+        pixels.flat[seed % 64] = (-top - 1, top)[seed % 2]
+    # constants from an lsb of their format to past its range, or, at an
+    # edge, ones whose product with the loudest conv sum lands near 2^63
+    if edge is None:
+        c_top = 2.0 ** rng.integers(-scl.frac_bits, scl.total_bits - scl.frac_bits, endpoint=True)
+        c = rng.uniform(-c_top, c_top, 4)
+    else:
+        reach = max(1, int(np.count_nonzero(w[1].entries[fullest]))) * (top + 1)
+        c = 2.0**63 / reach * 2.0**edge / scl.scale * rng.choice((-1, 1), 4)
+    b_top = 2.0 ** min(b_bits, act.total_bits) / act.scale
+    w[2] = ScaleShiftParams(tuple(c), tuple(rng.uniform(-b_top, b_top, 4)))
+    img = ImageStream(pixels, act.frac_bits)
+    try:
+        got = simulate(net, w, img)
+    except ValueError:
+        got = None
+    # the reference: every product accumulated in int64 after checking the
+    # float cast was lossless, as in test_vgg7_simulate_equals_the_int64_product
+    types = []
+
+    def int64_product(self, x):
+        types.append(x.dtype.type)
+        if x.dtype.kind == "f":
+            assert np.abs(x).max() < {np.float32: 2.0**24, np.float64: 2.0**53}[x.dtype.type]
+        return x.astype(np.int64) @ self.entries.T.astype(np.int64)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TernaryMatrix, "product", int64_product)
+        if got is None:
+            with pytest.raises(ValueError):
+                simulate(net, w, img)
+            assert types == []  # refused before any layer ran
+            return
+        assert simulate(net, w, img) == got
+    assert got.scores == _exact_tiny_scores(net, w, img)
 
 
 def test_argmax_ignores_monotone_softmax(rng):
