@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
+from functools import cached_property
 
 from .fixedpoint import ACT_FORMAT, SCALE_FORMAT, FixedPointFormat
 
@@ -100,6 +100,12 @@ class ScaleShiftParams:
         if not self.c:
             raise ValueError("scale/shift constants must not be empty")
 
+    @cached_property
+    def _quantized(self) -> dict:
+        """The constants quantized by (scale format, act format), filled by
+        the pipeline as it meets each pair."""
+        return {}
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -114,6 +120,7 @@ class NetworkSpec:
             raise NetworkFormatError("network needs at least one layer")
         if not (math.isfinite(self.clock_hz) and self.clock_hz >= 1):
             raise NetworkFormatError(f"clock_hz must be a finite number >= 1 Hz, got {self.clock_hz}")
+        self.validate()
 
     @property
     def input_width(self) -> int:
@@ -124,9 +131,10 @@ class NetworkSpec:
         return self.layers[0].in_channels
 
     def validate(self) -> None:
-        """Check adjacent-layer dimension compatibility and pixel intervals."""
+        """Check adjacent-layer dimension compatibility and pixel intervals.
+        Runs when the network is made."""
         width, chans = self.layers[0].in_width, self.layers[0].in_channels
-        interval = Fraction(1)
+        intervals = self.inferred_intervals()
         if self.layers[0].pixel_interval not in (0, 1):
             raise NetworkFormatError("first layer must have pixel_interval 1")
         image_side = True
@@ -142,15 +150,12 @@ class NetworkSpec:
                 )
             if layer.kind in ("Conv", "MaxPool") and layer.kernel > layer.in_width:
                 raise NetworkFormatError(f"layer {idx}: kernel larger than image")
-            if image_side and layer.pixel_interval:
-                if Fraction(layer.pixel_interval) != interval:
-                    raise NetworkFormatError(
-                        f"layer {idx}: pixel_interval {layer.pixel_interval} does not match "
-                        f"the upstream pool cascade ({interval})"
-                    )
+            if image_side and layer.pixel_interval not in (0, intervals[idx]):
+                raise NetworkFormatError(
+                    f"layer {idx}: pixel_interval {layer.pixel_interval} does not match "
+                    f"the upstream pool cascade ({intervals[idx]})"
+                )
             width, chans = layer.out_shape()
-            if layer.kind == "MaxPool":
-                interval *= layer.stride * layer.stride
             if layer.kind == "Mux":
                 # Downstream of the flattening Mux the stream is a vector and
                 # intervals are no longer a pure pool product.
@@ -255,9 +260,7 @@ def parse_network(text: str) -> NetworkSpec:
         _parse_format(obj["scale_format"], "scale_format") if "scale_format" in obj else SCALE_FORMAT
     )
     clock = _number(obj.get("clock_hz", 125e6), "clock_hz")
-    net = NetworkSpec(tuple(layers), clock, act, scale)
-    net.validate()
-    return net
+    return NetworkSpec(tuple(layers), clock, act, scale)
 
 
 def parse_scale_shift(text: str) -> ScaleShiftParams:
@@ -356,6 +359,4 @@ def vgg7_cifar10(clock_hz: float = 125e6) -> NetworkSpec:
         LayerSpec("Mux", 1, 128),
         LayerSpec("Dense", 1, 128, filters=10, epsilon=1.0),
     ]
-    net = NetworkSpec(tuple(layers), clock_hz)
-    net.validate()
-    return net
+    return NetworkSpec(tuple(layers), clock_hz)

@@ -166,6 +166,14 @@ class _ScaleShift:
         self.c_peak, self.b_peak = peak(self.c), peak(self.b)
         self.scale_fmt, self.act_fmt = scale_fmt, act_fmt
 
+    @classmethod
+    def of(cls, params: ScaleShiftParams, scale_fmt: FixedPointFormat, act_fmt: FixedPointFormat):
+        """The datapath of ``params`` in these formats, memoized on ``params``."""
+        memo, key = params._quantized, (scale_fmt, act_fmt)
+        if key not in memo:
+            memo[key] = cls(params, scale_fmt, act_fmt)
+        return memo[key]
+
     def check(self, x_peak: int) -> None:
         """Refuse arithmetic that inputs of magnitude at most ``x_peak`` could
         take past int64: the largest |c*x| plus the rounding half, and the
@@ -197,7 +205,7 @@ def scale_shift(
     could take past int64 is refused with a ValueError.
     """
     x = np.asarray(x, dtype=np.int64)
-    step = _ScaleShift(params, scale_fmt, act_fmt)
+    step = _ScaleShift.of(params, scale_fmt, act_fmt)
     if x.shape[-1] != len(params.c):
         raise ValueError(f"expected {len(params.c)} channels, got {x.shape[-1]}")
     step.check(peak(x))
@@ -215,45 +223,21 @@ class SimulationResult:
     saturations: int
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """What simulating a network with one set of weights needs that no image
-    changes. ``sources`` holds each (layer, weight object) read, so that
-    their ids cannot be reused while the plan is kept; ``steps`` gives each
-    layer its TernaryMatrix or quantized ScaleShift constants;
-    ``image_checks`` lists (layer, gain) where the layer's input is at most
-    gain x the image's peak."""
+def _steps(net: NetworkSpec, weights: dict, image_peak: int) -> list:
+    """Each layer's TernaryMatrix or quantized ScaleShift (None for the
+    rest), after checking the weights against the layers and bounding every
+    sum and product in Python ints.
 
-    sources: tuple[tuple[int, object], ...]
-    steps: tuple
-    image_checks: tuple[tuple[int, int], ...]
-
-
-def _check_width(net: NetworkSpec, idx: int, step, x_peak: int) -> None:
-    """Refuse, naming the layer, a sum or scale-shift product that inputs of
-    magnitude at most ``x_peak`` could take past int64."""
-    check = step.sum_dtype if isinstance(step, TernaryMatrix) else step.check
-    try:
-        check(x_peak)
-    except ValueError as e:
-        what = f"{net.layers[idx].kind.lower()} " if isinstance(step, TernaryMatrix) else ""
-        raise ValueError(f"layer {idx}: {what}{e}") from e
-
-
-def _build_plan(net: NetworkSpec, weights: dict) -> _Plan:
-    """Check the weights against the layers and bound every sum and product.
-
-    A stream the network saturated, like an image in the act format, is at
-    most A = 2^(act bits - 1) in magnitude. Each bound is checked here for
-    that, except that of the layer reading the image, which the image's own
-    peak bounds. The layers the image reaches before its first saturation
-    go into ``image_checks``, to be checked against that peak at entry.
+    A stream the network saturated is at most A = 2^(act bits - 1) in
+    magnitude. The first weighted layer reads the image, at most
+    ``image_peak``; a ScaleShift right after a Conv or Dense reads its sums,
+    at most max(A, the sum's input bound) x the most nonzeros in a row.
+    A bound that reaches 2^63 is refused with a ValueError naming the layer.
     """
     act = net.act_format
     full = -act.raw_min
-    # the stream's bound, and its bound as a multiple of the image's peak (None once saturated)
-    x_peak, gain = full, 1
-    sources, steps, image_checks = [], [], []
+    x_peak = image_peak  # max|x| of the stream entering the layer
+    steps = []
     for idx, layer in enumerate(net.layers):
         kind, w, step = layer.kind, weights.get(idx), None
         if kind in ("Conv", "Dense"):
@@ -264,39 +248,26 @@ def _build_plan(net: NetworkSpec, weights: dict) -> _Plan:
                 raise ValueError(
                     f"layer {idx}: {kind.lower()} weights are {w.rows}x{w.cols}, layer needs {rows}x{cols}"
                 )
-            step = w
+            step, check, what = w, w.sum_dtype, f"{kind.lower()} "
         elif kind == "ScaleShift":
             if not isinstance(w, ScaleShiftParams):
                 raise ValueError(f"layer {idx}: ScaleShift needs ScaleShiftParams")
             if len(w.c) != layer.in_channels:
                 raise ValueError(f"layer {idx}: expected {len(w.c)} channels, got {layer.in_channels}")
-            step = _ScaleShift(w, net.scale_format, act)
+            step = _ScaleShift.of(w, net.scale_format, act)
+            check, what = step.check, ""
         if step is not None:
-            if gain is not None:
-                image_checks.append((idx, gain))
-            if sources:  # not the layer that reads the image itself
-                _check_width(net, idx, step, x_peak)
-            sources.append((idx, w))
+            try:
+                check(x_peak)
+            except ValueError as e:
+                raise ValueError(f"layer {idx}: {what}{e}") from e
             following = net.layers[idx + 1].kind if idx + 1 < len(net.layers) else None
             if kind != "ScaleShift" and following == "ScaleShift":
-                x_peak, gain = x_peak * step._fullest, gain and gain * step._fullest
+                x_peak = max(full, x_peak) * step._fullest
             else:
-                x_peak, gain = full, None
+                x_peak = full
         steps.append(step)
-    return _Plan(tuple(sources), tuple(steps), tuple(image_checks))
-
-
-def _plan(net: NetworkSpec, weights: dict) -> _Plan:
-    """The network's plan for these weights: built at the first call and
-    kept on the network (frozen, so its checks cannot go stale) until the
-    weights of some layer are other objects."""
-    plan = net.__dict__.get("_simulation_plan")
-    if plan is None:
-        net.validate()
-    if plan is None or any(weights.get(idx) is not w for idx, w in plan.sources):
-        plan = _build_plan(net, weights)
-        object.__setattr__(net, "_simulation_plan", plan)
-    return plan
+    return steps
 
 
 def simulate(
@@ -310,10 +281,9 @@ def simulate(
     ``weights`` maps layer index to a TernaryMatrix (Conv/Dense) or
     ScaleShiftParams (ScaleShift). Classification is the argmax of the final
     output, lowest index on ties. A network whose sums or products could
-    leave int64 is refused with a ValueError naming the layer, before any
-    layer runs.
+    leave int64 on this image is refused with a ValueError naming the
+    layer, before any layer runs.
     """
-    plan = _plan(net, weights)
     if counter is None:
         counter = SaturationCounter()
     if (img.width, img.height, img.channels) != (net.input_width, net.input_width, net.input_channels):
@@ -327,12 +297,10 @@ def simulate(
             f"image has {img.frac_bits} fraction bits, the network's activation format "
             f"{act} has {act.frac_bits}"
         )
-    image_peak = peak(img.data)
-    for idx, gain in plan.image_checks:
-        _check_width(net, idx, plan.steps[idx], gain * image_peak)
+    steps = _steps(net, weights, peak(img.data))
     x = img.data  # (H, W, C) before the flattening Mux, a vector after it
     for idx, layer in enumerate(net.layers):
-        kind, step = layer.kind, plan.steps[idx]
+        kind, step = layer.kind, steps[idx]
         if kind in ("Conv", "Dense"):
             # max|x| of a Conv's map bounds its patches: padding adds zeros
             x = x.astype(step.product_dtype(x), copy=False)
@@ -389,7 +357,6 @@ def throughput_model(net: NetworkSpec) -> ThroughputReport:
     The latency estimate sums per-block warm-ups and pipeline depths; it is
     an analytic estimate, not a measured figure.
     """
-    net.validate()
     period = net.input_width**2  # cycles per frame at one pixel a cycle
     # the last block's output: width, channels, then `values` every `cycles`
     width, chans, values, cycles = net.input_width, net.input_channels, net.input_channels, 1

@@ -77,8 +77,16 @@ def test_first_layer_interval_must_be_one():
 def test_declared_interval_checked_against_cascade():
     obj = small_net_obj()
     obj["layers"][4]["pixel_interval"] = 2  # cascade says 4 after the pool
-    with pytest.raises(NetworkFormatError, match="cascade"):
+    want = r"^layer 4: pixel_interval 2 does not match the upstream pool cascade \(4\)$"
+    with pytest.raises(NetworkFormatError, match=want):
         parse_network(json.dumps(obj))
+
+
+def test_a_broken_chain_is_refused_when_the_network_is_made():
+    layers = (LayerSpec("Conv", 8, 1, kernel=3, filters=4), LayerSpec("ScaleShift", 8, 5))
+    want = r"^layer 1 \(ScaleShift\) expects 8x8x5, previous layer produces 8x8x4$"
+    with pytest.raises(NetworkFormatError, match=want):
+        NetworkSpec(layers)
 
 
 @pytest.mark.parametrize("kind", ["Conv", "MaxPool"])

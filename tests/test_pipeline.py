@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import struct
@@ -471,6 +472,15 @@ def test_simulate_bounds_what_the_image_reaches_by_the_image_peak(rng):
 
 def test_simulate_quantizes_the_constants_once(rng, monkeypatch):
     net, w = tiny_net(), tiny_weights(rng)
+    # the same layers and the same ScaleShiftParams object, constants in Q14.10
+    nets = {"a": net, "b": NetworkSpec(net.layers, net.clock_hz, net.act_format, FixedPointFormat(24, 10))}
+    images = [ImageStream(rng.integers(-(2**11), 2**11, size=(8, 8, 1))) for _ in range(3)]
+    # what fresh params, with nothing quantized yet, give
+    fresh = {
+        name: [simulate(n, {**w, 2: dataclasses.replace(w[2])}, img) for img in images]
+        for name, n in nets.items()
+    }
+    assert fresh["a"] != fresh["b"]
     calls = []
 
     def counting(*args, **kwargs):
@@ -478,11 +488,22 @@ def test_simulate_quantizes_the_constants_once(rng, monkeypatch):
         return quantize(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "quantize", counting)
-    per_image = []
+    counts = []
+    for name in ("a", "b", "a"):
+        for img, want in zip(images, fresh[name]):
+            assert simulate(nets[name], w, img) == want
+            counts.append(len(calls))
+    # c and b are quantized on the first image in each format, and never again
+    assert counts == [2, 2, 2, 4, 4, 4, 4, 4, 4]
+
+
+def test_simulate_leaves_its_arguments_as_it_found_them(rng):
+    net, w = tiny_net(), tiny_weights(rng)
+    before, held = dict(vars(net)), dict(w)
     for _ in range(3):
         simulate(net, w, ImageStream(rng.integers(-(2**11), 2**11, size=(8, 8, 1))))
-        per_image.append(len(calls))
-    assert per_image[0] > 0 and per_image == [per_image[0]] * 3
+    assert vars(net) == before
+    assert w.keys() == held.keys() and all(w[k] is held[k] for k in held)
 
 
 def test_simulate_plan_follows_the_weights_it_is_given(rng):
