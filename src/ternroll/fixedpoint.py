@@ -1,8 +1,9 @@
 """Two's-complement fixed-point formats and saturating quantization.
 
-Fixed-point values are arrays of raw int64 integers. Rounding everywhere is
-round-to-nearest with ties away from zero. Saturation is silent; callers that
-care pass a SaturationCounter.
+Fixed-point values are arrays of raw integers: int64, or float32 and float64
+where every value is an integer the type represents exactly, as inside
+``simulate``. Rounding everywhere is round-to-nearest with ties away from
+zero. Saturation is silent; callers that care pass a SaturationCounter.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class SaturationCounter:
 
 
 def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = None) -> np.ndarray:
-    """Clamp integers (or integer-valued floats) to the format as int64 raw
-    values, counting the values clamped."""
+    """Clamp raw values to the format, counting the values clamped: integers
+    into a new int64 array, a float array of integers in place, in its type."""
     raw = np.asarray(raw)
     if raw.dtype.kind == "i":
         raw = raw.astype(np.int64, copy=False)
@@ -67,12 +68,10 @@ def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = Non
         if counter is not None:
             counter.hit(int(np.count_nonzero(out != raw)))
         return out
-    high, low = raw >= -fmt.raw_min, raw < fmt.raw_min  # both bounds exact in float64, unlike raw_max
-    if counter is not None:
-        counter.hit(int(np.count_nonzero(high | low)))
-    out = np.where(high | low, 0, raw).astype(np.int64)
-    out[high], out[low] = fmt.raw_max, fmt.raw_min
-    return out
+    if counter is not None:  # both bounds are exact in any float type, unlike raw_max
+        counter.hit(int(np.count_nonzero(raw >= -fmt.raw_min)) + int(np.count_nonzero(raw < fmt.raw_min)))
+    # raw_max may round up, but only past the integers the type holds exactly
+    return np.clip(raw, fmt.raw_min, fmt.raw_max, out=raw)
 
 
 def quantize(values, fmt: FixedPointFormat, counter: SaturationCounter | None = None) -> np.ndarray:
@@ -83,7 +82,9 @@ def quantize(values, fmt: FixedPointFormat, counter: SaturationCounter | None = 
         raise ValueError(f"cannot quantize non-finite values to {fmt}")
     with np.errstate(over="ignore"):  # a product past float64 saturates as +-inf
         x = x * fmt.scale
-    return saturate(np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)), fmt, counter)
+    x = saturate(np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)), fmt, counter)
+    top = x >= -fmt.raw_min  # raw_max past 53 bits, which float64 rounded up
+    return np.where(top, fmt.raw_max, np.where(top, 0, x).astype(np.int64))
 
 
 def peak(x: np.ndarray) -> int:
@@ -93,9 +94,14 @@ def peak(x: np.ndarray) -> int:
 
 
 def shift_right_round(p, bits: int):
-    """Divide an integer or an int64 array by 2**bits, rounding to nearest
-    with ties away from zero."""
+    """Divide an integer, or an array of integers in its type, by 2**bits,
+    rounding to nearest with ties away from zero; floats need |p| + 2**(bits-1) exact."""
     if bits == 0:
         return p
     # a negative p adds one less, so its ties floor away from zero too
+    if isinstance(p, np.ndarray) and p.dtype.kind == "f":
+        q = p - (p < 0)
+        q += 2.0 ** (bits - 1)
+        q *= 2.0**-bits
+        return np.floor(q, out=q)
     return (p + ((1 << (bits - 1)) - (p < 0))) >> bits

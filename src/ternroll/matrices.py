@@ -105,15 +105,15 @@ class TernaryMatrix:
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """x @ entries.T for an (n, cols) or (cols,) x of product_dtype,
-        computed in that type (BLAS for the floats) and returned as int64."""
-        return (x @ self.entries.T.astype(x.dtype)).astype(np.int64, copy=False)
+        computed and returned in that type (BLAS for the floats)."""
+        return x @ self.entries.T.astype(x.dtype)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Exact integer product entries @ x for an int64 x of shape (cols,)
         or (cols, n), as int64, computed by ``product`` in the type
         ``product_dtype`` proves exact."""
         x = np.asarray(x, dtype=np.int64)
-        return self.product(x.T.astype(self.product_dtype(x), copy=False)).T
+        return self.product(x.T.astype(self.product_dtype(x), copy=False)).astype(np.int64, copy=False).T
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -135,26 +136,34 @@ def patch_matrix(img: ImageStream, kernel: int) -> np.ndarray:
 
 def _patches(data: np.ndarray, kernel: int) -> np.ndarray:
     """The patch matrix of an (H, W, C) array, in its dtype, computed as one view."""
-    height, width = data.shape[:2]
+    height, width, channels = data.shape
     _check_window(width, height, kernel)
     pad = kernel // 2
-    padded = np.pad(data, ((pad, pad), (pad, pad), (0, 0)))
+    padded = np.zeros((height + 2 * pad, width + 2 * pad, channels), data.dtype)
+    padded[pad : pad + height, pad : pad + width] = data
     windows = sliding_window_view(padded, (kernel, kernel), axis=(0, 1))  # (H, W, C, k, k)
     return windows.transpose(0, 1, 3, 4, 2).reshape(height * width, -1)
 
 
 def max_pool(img: ImageStream, k: int, n: int) -> ImageStream:
     """Per-channel max over k x k windows anchored at stride n."""
+    return ImageStream(_pool(img.data, k, n), img.frac_bits)
+
+
+def _pool(data: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The max pool of an (H, W, C) array, in its dtype: the running maximum
+    of the k x k strided slices, one per window offset."""
+    height, width, channels = data.shape
     if k < 1 or n < 1:
         raise ValueError("pool kernel and stride must be >= 1")
-    if img.width % n or img.height % n:
-        raise ValueError(f"image {img.width}x{img.height} not divisible by stride {n}")
-    # the last window reaches k - n past the edge; it holds its anchor pixel,
-    # so the pad value never wins
-    edge = max(k - n, 0)
-    padded = np.pad(img.data, ((0, edge), (0, edge), (0, 0)), constant_values=np.iinfo(np.int64).min)
-    windows = sliding_window_view(padded, (k, k), axis=(0, 1))[::n, ::n]  # (H/n, W/n, C, k, k)
-    return ImageStream(windows.max(axis=(3, 4)), img.frac_bits)
+    if width % n or height % n:
+        raise ValueError(f"image {width}x{height} not divisible by stride {n}")
+    if k > n:  # the last window reaches k - n past the edge; it holds its anchor pixel, so the pad never wins
+        low = np.iinfo(data.dtype).min if data.dtype.kind == "i" else -np.inf
+        padded = np.full((height + k - n, width + k - n, channels), low, data.dtype)
+        padded[:height, :width] = data
+        data = padded
+    return reduce(np.maximum, (data[i : i + height : n, j : j + width : n] for i in range(k) for j in range(k)))
 
 
 class _ScaleShift:
@@ -174,18 +183,26 @@ class _ScaleShift:
             memo[key] = cls(params, scale_fmt, act_fmt)
         return memo[key]
 
-    def check(self, x_peak: int) -> None:
-        """Refuse arithmetic that inputs of magnitude at most ``x_peak`` could
-        take past int64: the largest |c*x| plus the rounding half, and the
-        rounded quotient plus |b|, in Python ints."""
+    def check(self, x_peak: int) -> type:
+        """The type in which inputs of magnitude at most ``x_peak`` compute
+        exactly, from the largest |c*x| plus the rounding half, and the
+        rounded quotient plus |b|, in Python ints: float64 below 2^53, int64
+        below 2^63. Past int64: ValueError."""
         fmt = self.scale_fmt
         rounded = x_peak * self.c_peak + (fmt.scale >> 1)
-        if max(rounded, (rounded >> fmt.frac_bits) + self.b_peak) >= 1 << 63:
+        bound = max(rounded, (rounded >> fmt.frac_bits) + self.b_peak)
+        if bound >= 1 << 63:
             raise ValueError(f"scale-shift by {fmt} constants and {self.act_fmt} shifts overflows int64")
+        return np.float64 if bound < 1 << 53 else np.int64
 
-    def __call__(self, x: np.ndarray, act: str, counter: SaturationCounter | None) -> np.ndarray:
-        y = saturate(shift_right_round(x * self.c, self.scale_fmt.frac_bits) + self.b, self.act_fmt, counter)
-        return np.maximum(y, 0) if act == "ReLU" else y
+    def __call__(self, x: np.ndarray, act: str, counter: SaturationCounter | None, dtype: type) -> np.ndarray:
+        """The outputs for integer-valued ``x``, computed and returned in the
+        ``dtype`` that ``check`` chose for its peak; every cast is of exact
+        integers."""
+        y = shift_right_round(np.multiply(x, self.c, dtype=dtype, casting="unsafe"), self.scale_fmt.frac_bits)
+        y += self.b  # y is a new array
+        y = saturate(y, self.act_fmt, counter)
+        return np.maximum(y, 0, out=y) if act == "ReLU" else y
 
 
 def scale_shift(
@@ -208,8 +225,7 @@ def scale_shift(
     step = _ScaleShift.of(params, scale_fmt, act_fmt)
     if x.shape[-1] != len(params.c):
         raise ValueError(f"expected {len(params.c)} channels, got {x.shape[-1]}")
-    step.check(peak(x))
-    return step(x, act, counter)
+    return step(x, act, counter, step.check(peak(x))).astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +240,9 @@ class SimulationResult:
 
 
 def _steps(net: NetworkSpec, weights: dict, image_peak: int) -> list:
-    """Each layer's TernaryMatrix or quantized ScaleShift (None for the
-    rest), after checking the weights against the layers and bounding every
-    sum and product in Python ints.
+    """Each layer's TernaryMatrix or quantized ScaleShift and the type its
+    bound proves exact (None, None for the rest), after checking the weights
+    against the layers and bounding every sum and product in Python ints.
 
     A stream the network saturated is at most A = 2^(act bits - 1) in
     magnitude. The first weighted layer reads the image, at most
@@ -239,7 +255,7 @@ def _steps(net: NetworkSpec, weights: dict, image_peak: int) -> list:
     x_peak = image_peak  # max|x| of the stream entering the layer
     steps = []
     for idx, layer in enumerate(net.layers):
-        kind, w, step = layer.kind, weights.get(idx), None
+        kind, w, step, dtype = layer.kind, weights.get(idx), None, None
         if kind in ("Conv", "Dense"):
             if not isinstance(w, TernaryMatrix):
                 raise ValueError(f"layer {idx}: {kind} needs a TernaryMatrix weight")
@@ -258,7 +274,7 @@ def _steps(net: NetworkSpec, weights: dict, image_peak: int) -> list:
             check, what = step.check, ""
         if step is not None:
             try:
-                check(x_peak)
+                dtype = check(x_peak)
             except ValueError as e:
                 raise ValueError(f"layer {idx}: {what}{e}") from e
             following = net.layers[idx + 1].kind if idx + 1 < len(net.layers) else None
@@ -266,7 +282,7 @@ def _steps(net: NetworkSpec, weights: dict, image_peak: int) -> list:
                 x_peak = max(full, x_peak) * step._fullest
             else:
                 x_peak = full
-        steps.append(step)
+        steps.append((step, dtype))
     return steps
 
 
@@ -282,7 +298,11 @@ def simulate(
     ScaleShiftParams (ScaleShift). Classification is the argmax of the final
     output, lowest index on ties. A network whose sums or products could
     leave int64 on this image is refused with a ValueError naming the
-    layer, before any layer runs.
+    layer, before any layer runs. Between layers the stream stays in the
+    type its layer computed it in, which the bounds prove exact; a
+    scale-shift's outputs, within the act format, are held in the narrowest
+    type that holds 2^(act bits - 1): float32 up to 25 act bits, float64 up
+    to 54, int64 above.
     """
     if counter is None:
         counter = SaturationCounter()
@@ -298,9 +318,10 @@ def simulate(
             f"{act} has {act.frac_bits}"
         )
     steps = _steps(net, weights, peak(img.data))
+    held = next(t for t, bits in ((np.float32, 24), (np.float64, 53), (np.int64, 63)) if -act.raw_min <= 1 << bits)
     x = img.data  # (H, W, C) before the flattening Mux, a vector after it
     for idx, layer in enumerate(net.layers):
-        kind, step = layer.kind, steps[idx]
+        kind, (step, dtype) = layer.kind, steps[idx]
         if kind in ("Conv", "Dense"):
             # max|x| of a Conv's map bounds its patches: padding adds zeros
             x = x.astype(step.product_dtype(x), copy=False)
@@ -312,9 +333,9 @@ def simulate(
             if following != "ScaleShift":
                 x = saturate(x, act, counter)
         elif kind == "ScaleShift":
-            x = step(x, layer.activation, counter)
+            x = step(x, layer.activation, counter, dtype).astype(held, copy=False)
         elif kind == "MaxPool":
-            x = max_pool(ImageStream(x, act.frac_bits), layer.kernel, layer.stride).data
+            x = _pool(x, layer.kernel, layer.stride)
         elif kind == "Mux":
             x = x.reshape(-1)
     scores = x.reshape(-1)

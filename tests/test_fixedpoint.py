@@ -198,6 +198,39 @@ def test_shift_right_round_zero_bits():
     assert shift_right_round(12345, 0) == 12345
 
 
+@given(st.data())
+def test_shift_right_round_on_float64_equals_int64(data):
+    bits = data.draw(st.integers(1, 52))
+    half = 1 << (bits - 1)
+    limit = (1 << 53) - half  # the largest |p| that float64 shifts exactly
+    ties = st.integers(0, (limit - half) >> bits).map(lambda k: (k << bits) + half)
+    near = (ties | st.just(limit)).flatmap(lambda v: st.integers(-2, 2).map(lambda d: min(v + d, limit)))
+    signed = st.builds(lambda v, sign: sign * v, near | st.integers(0, limit), st.sampled_from((1, -1)))
+    p = np.array(data.draw(st.lists(signed, max_size=20)), dtype=np.int64)
+    got = shift_right_round(p.astype(np.float64), bits)
+    assert got.dtype == np.float64
+    assert got.tolist() == shift_right_round(p, bits).tolist()
+
+
+@given(st.data())
+def test_saturate_on_float64_equals_int64(data):
+    fmt = data.draw(_formats())
+    exact = 1 << 53
+    near = st.sampled_from([fmt.raw_max, fmt.raw_min, exact, -exact]).flatmap(
+        lambda r: st.integers(-2, 2).map(lambda d: r + d)
+    )
+    # every integer float64 holds up to 2^53, and the ones within 2 past it
+    held = (st.integers(-exact, exact) | near).filter(lambda v: abs(v) <= exact + 2 and float(v) == v)
+    raws = data.draw(st.lists(held, max_size=20))
+    want_count, got_count = SaturationCounter(), SaturationCounter()
+    want = saturate(np.array(raws, dtype=np.int64), fmt, want_count)
+    floats = np.array(raws, dtype=np.float64)
+    got = saturate(floats, fmt, got_count)
+    assert got is floats  # clamped in place
+    assert got.tolist() == want.tolist()
+    assert got_count.count == want_count.count
+
+
 def _one_channel(x_raw: int, c: float, b: float, act: str = "None", counter=None) -> int:
     """scale_shift on a single-channel input: the scalar datapath."""
     (y,) = scale_shift([x_raw], ScaleShiftParams((c,), (b,)), act, SCALE_FORMAT, ACT_FORMAT, counter)

@@ -234,7 +234,13 @@ def test_matvec_equals_python_int_product_or_refuses(case):
             m.matvec(x)
         return
     tiers = ((np.float32, 24), (np.float64, 53), (np.int64, 63))
-    assert m.product_dtype(x) is next(dtype for dtype, bits in tiers if bound < 1 << bits)
+    dtype = m.product_dtype(x)
+    assert dtype is next(t for t, bits in tiers if bound < 1 << bits)
+    want = (m.entries.astype(object) @ x.astype(object)).tolist()
     got = m.matvec(x)
     assert got.dtype == np.int64
-    assert got.tolist() == (m.entries.astype(object) @ x.astype(object)).tolist()
+    assert got.tolist() == want
+    # product computes and returns in x's own type
+    got = m.product(x.T.astype(dtype))
+    assert got.dtype == dtype
+    assert got.T.tolist() == want

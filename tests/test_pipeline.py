@@ -166,7 +166,12 @@ def test_pool_matches_direct_oracle(rng):
 def test_pool_matches_per_pixel_loop(k, n, oh, ow, c, seed):
     # k > n overlaps windows and truncates the last ones at the edge; k < n skips pixels
     img = ImageStream(np.random.default_rng(seed).integers(-(2**15), 2**15, size=(oh * n, ow * n, c)))
-    assert np.array_equal(max_pool(img, k, n).data, pipeline_ref.max_pool(img, k, n))
+    want = pipeline_ref.max_pool(img, k, n)
+    assert np.array_equal(max_pool(img, k, n).data, want)
+    # simulate pools the stream in its own type, padding with that type's lowest value
+    got = pipeline._pool(img.data.astype(np.float32), k, n)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, want)
 
 
 def test_pool_requires_divisible_stride(rng):
@@ -196,6 +201,19 @@ def test_scale_shift_relu_and_saturation():
     y = scale_shift(np.array([-80, 32000]), p, act="ReLU", counter=counter)
     assert y.tolist() == [0, 32767]
     assert counter.count == 1
+
+
+@pytest.mark.parametrize("act_fmt", [FixedPointFormat(16, 4), FixedPointFormat(40, 4), FixedPointFormat(60, 4)])
+def test_public_blocks_return_int64_on_int64_input(rng, act_fmt):
+    # simulate keeps its stream in float32, float64 or int64; the public blocks stay int64
+    img = ImageStream(rng.integers(-(2**11), 2**11, size=(4, 4, 2)), act_fmt.frac_bits)
+    params = ScaleShiftParams((1.5, -0.75), (2.0, -1.0))
+    for act in ("None", "ReLU"):
+        assert scale_shift(img.data, params, act, act_fmt=act_fmt).dtype == np.int64
+    assert max_pool(img, 2, 2).data.dtype == np.int64
+    patches = patch_matrix(img, 3)
+    assert patches.dtype == np.int64
+    assert random_ternary(3, 18, 0.4, rng).matvec(patches.T).dtype == np.int64
 
 
 def test_scale_shift_float_reference_bound(rng):
@@ -555,13 +573,17 @@ def _formats(draw):
     seed=st.integers(0, 2**32 - 1),
     top_bits=st.integers(0, 63),
     loud=st.booleans(),
-    edge=st.none() | st.floats(-3, 1),
+    edge=st.none() | st.floats(-13, 1),
     b_bits=st.integers(-16, 64),
     sparse=st.booleans(),
     head=st.booleans(),
 )
 # the conv sums of full-scale pixels times constants near 2^63 / sum
 @example(FixedPointFormat(16, 4), FixedPointFormat(56, 10), 5, 15, True, 0.5, 0, False, True)
+# shifts past 2^24 in Q27.0, which a float32 stream would round
+@example(FixedPointFormat(27, 0), FixedPointFormat(8, 0), 0, 0, False, None, 27, False, False)
+# scale-shift products past 2^53, which float64 would round: they run in int64
+@example(FixedPointFormat(55, 0), FixedPointFormat(8, 0), 0, 52, True, -9.0, 0, False, True)
 def test_width_rule_refuses_up_front_or_runs_exactly(
     act, scl, seed, top_bits, loud, edge, b_bits, sparse, head
 ):
