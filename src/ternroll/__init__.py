@@ -18,7 +18,7 @@ from .fixedpoint import (
     SaturationCounter,
     quantize,
 )
-from .matrices import FloatMatrix, TernaryMatrix, random_ternary
+from .matrices import FloatMatrix, TernaryMatrix
 from .netlist import emit as emit_netlist
 from .netlist import parse as parse_netlist
 from .network import LayerSpec, NetworkSpec, ScaleShiftParams, load_network, vgg7_cifar10
@@ -26,7 +26,6 @@ from .pipeline import (
     ImageStream,
     SimulationResult,
     ThroughputReport,
-    WindowBuffer,
     max_pool,
     op_count,
     scale_shift,
@@ -64,7 +63,6 @@ __all__ = [
     "SimulationResult",
     "TernaryMatrix",
     "ThroughputReport",
-    "WindowBuffer",
     "bu_cse",
     "build_tree",
     "cost",
@@ -78,7 +76,6 @@ __all__ = [
     "op_count",
     "parse_netlist",
     "quantize",
-    "random_ternary",
     "scale_shift",
     "schedule_serial",
     "simulate",

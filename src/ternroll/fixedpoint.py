@@ -95,13 +95,14 @@ def peak(x: np.ndarray) -> int:
 
 def shift_right_round(p, bits: int):
     """Divide an integer, or an array of integers in its type, by 2**bits,
-    rounding to nearest with ties away from zero; floats need |p| + 2**(bits-1) exact."""
+    rounding to nearest with ties away from zero. A float array is divided
+    in place and needs |p| + 2**(bits-1) exact."""
     if bits == 0:
         return p
     # a negative p adds one less, so its ties floor away from zero too
     if isinstance(p, np.ndarray) and p.dtype.kind == "f":
-        q = p - (p < 0)
-        q += 2.0 ** (bits - 1)
-        q *= 2.0**-bits
-        return np.floor(q, out=q)
+        p -= p < 0
+        p += 2.0 ** (bits - 1)
+        p *= 2.0**-bits
+        return np.floor(p, out=p)
     return (p + ((1 << (bits - 1)) - (p < 0))) >> bits

@@ -80,10 +80,37 @@ class TernaryMatrix:
         """Most nonzeros in a row, at least 1."""
         return max(1, int(np.count_nonzero(self.entries, axis=1).max()))
 
+    @cached_property
+    def _channel_nonzeros(self) -> dict[int, np.ndarray]:
+        """Per channel count C, the (rows, C) float64 table of each row's
+        nonzeros over the window positions of each channel; filled on use."""
+        return {}
+
     def product_dtype(self, x: np.ndarray) -> type:
-        """The narrowest type in which products with integers no larger
-        than max|x| are exact: ``sum_dtype(peak(x))``."""
-        return self.sum_dtype(peak(x))
+        """The narrowest type in which products with x's values, or with
+        the patches of an (H, W, C) map x, are exact.
+
+        The rule is ``sum_dtype(peak(x))``, except that a map the rule does
+        not give float32 takes float32 when every row's per-channel bound,
+        the sum over channels ch of the row's nonzeros in ch times
+        max|x[..., ch]|, is below 2^24. A patch holds x's values or padding
+        zeros, and its columns are (window position, channel) with C
+        channels minor, so that bound caps every partial sum of the row.
+        """
+        top = peak(x)
+        if x.ndim == 3 and self._fullest * top >= 1 << 24 and self.cols % x.shape[2] == 0:
+            channels = x.shape[2]
+            counts = self._channel_nonzeros.get(channels)
+            if counts is None:
+                counts = np.count_nonzero(self.entries.reshape(self.rows, -1, channels), axis=1)
+                counts = self._channel_nonzeros[channels] = counts.astype(np.float64)
+            # peaks capped at 2^24 decide "below 2^24" as the true ones do, and
+            # keep each row's sum, at most cols * 2^24, exact in float64
+            cap = float(1 << 24)
+            peaks = np.maximum(x.max(axis=(0, 1)).astype(np.float64), -x.min(axis=(0, 1)).astype(np.float64))
+            if (counts @ np.minimum(peaks, cap)).max() < cap:
+                return np.float32
+        return self.sum_dtype(top)
 
     def sum_dtype(self, peak: int) -> type:
         """The narrowest type in which products with integers of magnitude
@@ -223,11 +250,3 @@ def load_fmx(path: str) -> FloatMatrix:
 def dump_fmx(m: FloatMatrix, path: str) -> None:
     with open(path, "w", encoding="ascii") as f:
         f.write(format_fmx(m))
-
-
-def random_ternary(rows: int, cols: int, sparsity: float, rng: np.random.Generator) -> TernaryMatrix:
-    """Random trit matrix with the given expected fraction of zeros."""
-    u = rng.random((rows, cols))
-    signs = rng.integers(0, 2, size=(rows, cols), dtype=np.int8) * 2 - 1
-    a = np.where(u < sparsity, np.int8(0), signs)
-    return TernaryMatrix(a)

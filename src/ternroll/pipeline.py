@@ -13,7 +13,6 @@ channel), matching the column order of the weight matrices.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -78,59 +77,9 @@ def _check_window(width: int, height: int, kernel: int) -> None:
         raise ValueError(f"kernel {kernel} exceeds image {width}x{height}")
 
 
-class WindowBuffer:
-    """Line-buffer and shift-register model of the streaming patch generator.
-
-    One pixel enters per push; kernel-1 line buffers delay previous rows by
-    the image width so the same column of the previous rows appears together
-    with the incoming pixel. After the warm-up of floor(N/2) rows plus
-    floor(N/2) pixels, one patch per push leaves in raster order; border taps
-    are switched to zero based on the centre coordinate.
-    """
-
-    def __init__(self, width: int, height: int, channels: int, kernel: int) -> None:
-        _check_window(width, height, kernel)
-        self.width, self.height, self.channels, self.kernel = width, height, channels, kernel
-        self.pad = kernel // 2
-        self._lines: list[deque] = [deque() for _ in range(kernel - 1)]
-        self._window: deque = deque(maxlen=kernel)  # columns, newest right
-        self._pushes = 0
-        self.last_column_taps: tuple | None = None
-
-    def push(self, px: np.ndarray) -> np.ndarray | None:
-        """Feed one pixel (or a zero flush pixel); maybe emit a patch."""
-        zero = np.zeros(self.channels, dtype=np.int64)
-        taps = [np.asarray(px, dtype=np.int64)]
-        cur = taps[0]
-        for line in self._lines:
-            line.append(cur)
-            cur = line.popleft() if len(line) > self.width else zero
-            taps.append(cur)
-        self.last_column_taps = tuple(taps)
-        self._window.append(tuple(reversed(taps)))  # column, top row first
-        n = self._pushes
-        self._pushes += 1
-        c = n - (self.pad * self.width + self.pad)
-        if c < 0 or c >= self.width * self.height:
-            return None
-        i, j = divmod(c, self.width)
-        patch = np.zeros((self.kernel, self.kernel, self.channels), dtype=np.int64)
-        for q in range(self.kernel):
-            for r in range(self.kernel):
-                src_i = i + q - self.pad
-                src_j = j + r - self.pad
-                if 0 <= src_i < self.height and 0 <= src_j < self.width:
-                    patch[q, r] = self._window[r][q]
-        return patch.reshape(-1)
-
-    def total_pushes(self) -> int:
-        """Pushes needed to emit every patch: the image plus the warm-up."""
-        return self.width * self.height + self.pad * self.width + self.pad
-
-
 def patch_matrix(img: ImageStream, kernel: int) -> np.ndarray:
     """(H*W, kernel*kernel*channels) int64 matrix of all zero-padded
-    patches in raster order: the patches a WindowBuffer emits."""
+    patches in raster order: the patches the line-buffer model emits."""
     return _patches(img.data, kernel)
 
 
@@ -198,11 +147,25 @@ class _ScaleShift:
     def __call__(self, x: np.ndarray, act: str, counter: SaturationCounter | None, dtype: type) -> np.ndarray:
         """The outputs for integer-valued ``x``, computed and returned in the
         ``dtype`` that ``check`` chose for its peak; every cast is of exact
-        integers."""
-        y = shift_right_round(np.multiply(x, self.c, dtype=dtype, casting="unsafe"), self.scale_fmt.frac_bits)
-        y += self.b  # y is a new array
-        y = saturate(y, self.act_fmt, counter)
-        return np.maximum(y, 0, out=y) if act == "ReLU" else y
+        integers (a constant that float64 rounds meets only x = 0).
+
+        In float64 the product array is rounded, shifted and offset in place,
+        the values past the act format are counted on both sides, and one
+        ``np.clip`` does the clamp and the ReLU, so a value below the format
+        counts once under ReLU too. ``b`` is added after the floor, as the
+        bound in ``check`` assumes.
+        """
+        # constants cast once per call, not per block of the ufunc's loop
+        c, b = self.c.astype(dtype, copy=False), self.b.astype(dtype, copy=False)
+        y = shift_right_round(np.multiply(x, c, dtype=dtype, casting="unsafe"), self.scale_fmt.frac_bits)
+        y += b  # y is a new array
+        fmt = self.act_fmt
+        if dtype is np.int64:
+            y = saturate(y, fmt, counter)
+            return np.maximum(y, 0, out=y) if act == "ReLU" else y
+        if counter is not None:  # both bounds are exact in float64, unlike raw_max
+            counter.hit(int(np.count_nonzero(y >= -fmt.raw_min)) + int(np.count_nonzero(y < fmt.raw_min)))
+        return np.clip(y, 0 if act == "ReLU" else fmt.raw_min, fmt.raw_max, out=y)
 
 
 def scale_shift(

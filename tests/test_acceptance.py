@@ -19,7 +19,6 @@ from ternroll import (
     ImageStream,
     SaturationCounter,
     TernaryMatrix,
-    WindowBuffer,
     bu_cse,
     build_tree,
     cost,
@@ -33,15 +32,17 @@ from ternroll import (
     throughput_model,
     vgg7_cifar10,
 )
-from ternroll.matrices import FloatMatrix, random_ternary
+from ternroll.matrices import FloatMatrix
 from ternroll.netlist import emit, parse
 from ternroll.pipeline import patch_matrix
 from ternroll.ternarize import sparsity_sweep, threshold
 
 from . import cse_rows, straightline_ref
 from .basis import evaluate
+from .pipeline_ref import WindowBuffer
 from .serial_ref import evaluate_serial, serial_sum
 from .test_pipeline import gather_oracle, tiny_net, tiny_weights
+from .trits import random_ternary
 
 
 @contextmanager

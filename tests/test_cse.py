@@ -18,10 +18,10 @@ from ternroll.cse import (
     format_cse,
     parse_cse,
 )
-from ternroll.matrices import random_ternary
 
 from . import cse_ref, cse_rows
 from .basis import dense
+from .trits import random_ternary
 
 
 def terms(*pairs):

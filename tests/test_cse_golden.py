@@ -15,9 +15,9 @@ import pytest
 
 from ternroll import TernaryMatrix, bu_cse, td_cse
 from ternroll.cse import format_cse
-from ternroll.matrices import random_ternary
 
 from .conftest import ROWS_7X6
+from .trits import random_ternary
 
 
 def _small_matrices() -> list[TernaryMatrix]:

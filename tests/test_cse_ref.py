@@ -13,9 +13,9 @@ import pytest
 
 from ternroll import TernaryMatrix, bu_cse, td_cse
 from ternroll.cse import format_cse
-from ternroll.matrices import random_ternary
 
 from . import cse_ref
+from .trits import random_ternary
 
 
 def _small():

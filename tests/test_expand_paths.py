@@ -24,11 +24,11 @@ from ternroll import (
     no_cse,
     td_cse,
 )
-from ternroll.matrices import random_ternary
 from ternroll.treegen import ADD, IN, OUT
 
 from . import cse_rows
 from .basis import dense, first_difference, on_basis
+from .trits import random_ternary
 
 METHODS = {"td": td_cse, "bu": bu_cse, "none": no_cse}
 

@@ -12,10 +12,11 @@ from ternroll.matrices import (
     format_tmx,
     parse_fmx,
     parse_tmx,
-    random_ternary,
 )
+from ternroll.pipeline import ImageStream, patch_matrix
 
 from . import tmx_ref
+from .trits import random_ternary
 
 
 def test_sparsity_all_zero():
@@ -244,3 +245,71 @@ def test_matvec_equals_python_int_product_or_refuses(case):
     got = m.product(x.T.astype(dtype))
     assert got.dtype == dtype
     assert got.T.tolist() == want
+
+
+@st.composite
+def _map_cases(draw):
+    """A trit matrix over k x k windows of C channels, and an (H, W, C) map,
+    its patch matrix or one patch. Each channel's peak is quiet, but one
+    channel's puts a row's per-channel bound within a few nonzeros of
+    2^24; half the maps hold that row's signs at those peaks in one window,
+    so the row's sum there is its bound."""
+    k, c, rows = draw(st.sampled_from((1, 3))), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    entries = draw(hnp.arrays(np.int8, (rows, k * k * c), elements=st.integers(-1, 1)))
+    counts = np.count_nonzero(entries.reshape(rows, -1, c), axis=1)
+    peaks = draw(st.lists(st.integers(0, 1 << 12), min_size=c, max_size=c))
+    loud = draw(st.integers(0, c - 1))
+    row = int(counts[:, loud].argmax())
+    if counts[row, loud]:
+        rest = sum(int(n) * p for ch, (n, p) in enumerate(zip(counts[row], peaks)) if ch != loud)
+        peaks[loud] = max(0, ((1 << 24) - rest) // int(counts[row, loud]) + draw(st.integers(-2, 2)))
+    p = np.array(peaks, dtype=np.int64)
+    size = k + draw(st.integers(0, 2))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(-p, p, size=(size, size, c), endpoint=True)
+    if draw(st.booleans()):
+        x[:k, :k] = entries[row].reshape(k, k, c) * p
+    else:
+        x[-1, -1] = p * draw(st.sampled_from((1, -1)))
+    form = draw(st.sampled_from(("map", "patches", "patch")))
+    if form != "map":
+        x = patch_matrix(ImageStream(x), k)
+        x = x[draw(st.integers(0, len(x) - 1))] if form == "patch" else x
+    return TernaryMatrix(entries), x, k
+
+
+# one row over 3x3 windows of two channels, (channel 0, channel 1) per
+# window position: two taps of channel 0 and nine of channel 1
+_TWO_CHANNELS = TernaryMatrix(np.array([[1, 1, 0, -1, 0, 1, 0, 1, -1, -1, 0, 1, 0, 1, 0, -1, 0, 1]]))
+
+
+def _two_channel_map(loud: int, quiet: int) -> np.ndarray:
+    """A 3x3x2 map whose centre window is the one row's signs at these peaks."""
+    return _TWO_CHANNELS.entries.reshape(3, 3, 2) * np.array([loud, quiet], dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_map_cases())
+# 11 nonzeros x (2^22 + 1) passes 2^24, but 2 x (2^22 + 1) + 9 x 1000 does not: float32
+@example(case=(_TWO_CHANNELS, _two_channel_map((1 << 22) + 1, 1000), 3))
+# 2 x (2^23 - 9) + 9 x 2 is exactly 2^24: not float32
+@example(case=(_TWO_CHANNELS, _two_channel_map((1 << 23) - 9, 2), 3))
+# the same values as one patch and as a patch matrix keep the row-count rule
+@example(case=(_TWO_CHANNELS, _two_channel_map((1 << 22) + 1, 1000).reshape(-1), 3))
+@example(case=(_TWO_CHANNELS, patch_matrix(ImageStream(_two_channel_map((1 << 22) + 1, 1000)), 3), 3))
+def test_product_dtype_bounds_a_map_by_its_channel_peaks(case):
+    m, x, k = case
+    peak = max(-int(x.min()), int(x.max()))
+    bound = max(1, int(np.count_nonzero(m.entries, axis=1).max())) * peak
+    want = next(t for t, bits in ((np.float32, 24), (np.float64, 53), (np.int64, 63)) if bound < 1 << bits)
+    patches = x
+    if x.ndim == 3:
+        c = x.shape[2]
+        peaks = [max(-int(x[..., ch].min()), int(x[..., ch].max())) for ch in range(c)]
+        counts = np.count_nonzero(m.entries.reshape(m.rows, -1, c), axis=1).tolist()
+        if max(sum(n * p for n, p in zip(row, peaks)) for row in counts) < 1 << 24:
+            want = np.float32
+        patches = patch_matrix(ImageStream(x), k)
+    assert m.product_dtype(x) is want
+    got = m.product(patches.astype(want))
+    assert got.dtype == want
+    assert got.tolist() == (patches.astype(object) @ m.entries.T.astype(object)).tolist()

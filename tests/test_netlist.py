@@ -12,9 +12,10 @@ from ternroll import (
     schedule_serial,
     td_cse,
 )
-from ternroll.matrices import random_ternary
 from ternroll.netlist import NetlistParseError, emit, parse
 from ternroll.treegen import ADD, IN, GraphValidationError
+
+from .trits import random_ternary
 
 
 def test_empty_graph_header_only():

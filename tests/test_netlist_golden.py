@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from ternroll import TernaryMatrix, bu_cse, build_tree, no_cse, schedule_serial, td_cse
-from ternroll.matrices import random_ternary
 from ternroll.netlist import emit, parse
 
 from .conftest import ROWS_7X6
+from .trits import random_ternary
 
 CORPUS = {
     "c1_7x6": lambda: TernaryMatrix(np.array(ROWS_7X6, dtype=np.int8)),

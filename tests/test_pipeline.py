@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ternroll import (
+    ACT_FORMAT,
+    SCALE_FORMAT,
     FixedPointFormat,
     FloatMatrix,
     ImageStream,
@@ -17,7 +19,6 @@ from ternroll import (
     SaturationCounter,
     ScaleShiftParams,
     TernaryMatrix,
-    WindowBuffer,
     bu_cse,
     build_tree,
     max_pool,
@@ -31,7 +32,6 @@ from ternroll import (
     vgg7_cifar10,
 )
 from ternroll import pipeline
-from ternroll.matrices import random_ternary
 from ternroll.pipeline import (
     ImageFormatError,
     dump_img,
@@ -42,6 +42,8 @@ from ternroll.pipeline import (
 )
 
 from . import pipeline_ref, straightline_ref
+from .pipeline_ref import WindowBuffer
+from .trits import random_ternary
 
 
 def gather_oracle(img: ImageStream, kernel: int) -> np.ndarray:
@@ -566,27 +568,91 @@ def _formats(draw):
     return FixedPointFormat(total, draw(st.integers(0, min(total - 1, 16))))
 
 
+@st.composite
+def _scale_shift_cases(draw):
+    """Act and scale formats, raw constants and an int64 x whose scale-shift
+    ``check`` puts in float64: products at and beside the ties
+    +-(k + 1/2) 2^f on channels whose constant is +-1 raw, and products
+    that saturate on either side."""
+    total = draw(st.integers(8, 52))
+    act = FixedPointFormat(total, draw(st.integers(0, min(total - 1, 16))))
+    scl = draw(_formats())
+    n = draw(st.integers(1, 4))
+    # below 2^52, c / scale and quantize's c + 1/2 are exact in float64
+    exact = st.integers(max(scl.raw_min, 1 - (1 << 52)), min(scl.raw_max, (1 << 52) - 1))
+    c = draw(st.lists(st.sampled_from((1, -1)) | exact, min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(act.raw_min, act.raw_max), min_size=n, max_size=n))
+    limit = (1 << 51) // max(1, *map(abs, c))
+    f, half = scl.frac_bits, scl.scale >> 1
+    ties = st.builds(
+        lambda k, d, sign: sign * min((k << f) + half + d, limit),
+        st.integers(0, limit >> f),
+        st.integers(-1, 1),
+        st.sampled_from((1, -1)),
+    )
+    x = draw(st.lists(st.lists(ties | st.integers(-limit, limit), min_size=n, max_size=n), min_size=1, max_size=6))
+    return act, scl, c, b, np.array(x, dtype=np.int64)
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    act=_formats(),
-    scl=_formats(),
-    seed=st.integers(0, 2**32 - 1),
-    top_bits=st.integers(0, 63),
-    loud=st.booleans(),
-    edge=st.none() | st.floats(-13, 1),
-    b_bits=st.integers(-16, 64),
-    sparse=st.booleans(),
-    head=st.booleans(),
+@given(case=_scale_shift_cases())
+# ties of +-1/2 and +-3/2 in Q12.4 from Q10.6, and the values beside them
+@example(case=(ACT_FORMAT, SCALE_FORMAT, [1, -1], [0, 0], np.array([[32, 32], [-32, -96], [96, 31], [-33, 95]])))
+# below raw_min and past raw_max: under ReLU the low one counts once and gives 0
+@example(case=(ACT_FORMAT, SCALE_FORMAT, [64, 64], [0, 0], np.array([[-40000, 40000], [-32768, 32767]])))
+def test_scale_shift_float64_and_int64_paths_agree(case):
+    act, scl, c, b, x = case
+    params = ScaleShiftParams(tuple(v / scl.scale for v in c), tuple(v / act.scale for v in b))
+    step = pipeline._ScaleShift(params, scl, act)
+    assert step.c.tolist() == c and step.b.tolist() == b
+    assert step.check(max(-int(x.min()), int(x.max()))) is np.float64
+    half = scl.scale >> 1
+    for relu in ("None", "ReLU"):
+        # Python ints: round half away from zero, add b, count and clamp, then the ReLU
+        want, hits = [], 0
+        for row in x.tolist():
+            for v, cv, bv in zip(row, c, b):
+                q = (abs(v * cv) + half) >> scl.frac_bits
+                y = (q if v * cv >= 0 else -q) + bv
+                hits += not act.raw_min <= y <= act.raw_max
+                y = min(max(y, act.raw_min), act.raw_max)
+                want.append(max(y, 0) if relu == "ReLU" else y)
+        for dtype in (np.int64, np.float64):
+            counter = SaturationCounter()
+            got = step(x, relu, counter, dtype)
+            assert got.dtype == dtype
+            assert got.reshape(-1).tolist() == want
+            assert counter.count == hits
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+# formats of 8-64 bits, images from a few lsbs up to the act range, and
+# constants anywhere in their format or at an edge near 2^63
+_ANY_WIDTHS = st.tuples(
+    _formats(), _formats(), _SEEDS, st.integers(0, 63), st.booleans(), st.none() | st.floats(-13, 1),
+    st.integers(-16, 64), st.booleans(), st.booleans(),
 )
+# 55-60-bit act formats hold the outputs of scale-shift products past 2^53
+# when the scale format has few fraction bits, and loud images reach such
+# products: the int64 side of the float64/int64 switch, mostly unsaturated
+_WIDE_ACTS = st.tuples(
+    st.builds(FixedPointFormat, st.integers(55, 60), st.integers(0, 4)),
+    st.builds(FixedPointFormat, st.integers(8, 16), st.integers(0, 2)),
+    _SEEDS, st.integers(40, 56), st.just(True), st.none() | st.floats(-14, -2),
+    st.integers(-16, 64), st.booleans(), st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ANY_WIDTHS | _WIDE_ACTS)
 # the conv sums of full-scale pixels times constants near 2^63 / sum
-@example(FixedPointFormat(16, 4), FixedPointFormat(56, 10), 5, 15, True, 0.5, 0, False, True)
+@example(case=(FixedPointFormat(16, 4), FixedPointFormat(56, 10), 5, 15, True, 0.5, 0, False, True))
 # shifts past 2^24 in Q27.0, which a float32 stream would round
-@example(FixedPointFormat(27, 0), FixedPointFormat(8, 0), 0, 0, False, None, 27, False, False)
+@example(case=(FixedPointFormat(27, 0), FixedPointFormat(8, 0), 0, 0, False, None, 27, False, False))
 # scale-shift products past 2^53, which float64 would round: they run in int64
-@example(FixedPointFormat(55, 0), FixedPointFormat(8, 0), 0, 52, True, -9.0, 0, False, True)
-def test_width_rule_refuses_up_front_or_runs_exactly(
-    act, scl, seed, top_bits, loud, edge, b_bits, sparse, head
-):
+@example(case=(FixedPointFormat(55, 0), FixedPointFormat(8, 0), 0, 52, True, -9.0, 0, False, True))
+def test_width_rule_refuses_up_front_or_runs_exactly(case):
+    act, scl, seed, top_bits, loud, edge, b_bits, sparse, head = case
     rng = np.random.default_rng(seed)
     net = tiny_net()
     # the head (buffer, conv, scale-shift) shows every scale-shift output as a score

@@ -18,7 +18,6 @@ from ternroll import (
     validate_graph,
 )
 from ternroll.cse import parse_cse
-from ternroll.matrices import random_ternary
 from ternroll.treegen import (
     ADD,
     KINDS,
@@ -30,6 +29,7 @@ from . import cse_rows, graph_ref, tree_ref
 from .basis import evaluate
 from .serial_ref import evaluate_serial, serial_sum
 from .test_netlist_golden import CORPUS
+from .trits import random_ternary
 
 
 def test_filter_tree_structure(filter_matrix):
