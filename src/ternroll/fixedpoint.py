@@ -93,16 +93,20 @@ def peak(x: np.ndarray) -> int:
     return max(-int(x.min(initial=0)), int(x.max(initial=0)))
 
 
-def shift_right_round(p, bits: int):
+def shift_right_round(p, bits: int, out: np.ndarray | None = None):
     """Divide an integer, or an array of integers in its type, by 2**bits,
-    rounding to nearest with ties away from zero. A float array is divided
-    in place and needs |p| + 2**(bits-1) exact."""
+    rounding to nearest with ties away from zero; floats need |p| + 2**(bits-1)
+    exact. An array's quotient is written to ``out`` when given (``out=p``
+    divides in place); with bits = 0 p itself is returned."""
     if bits == 0:
         return p
     # a negative p adds one less, so its ties floor away from zero too
-    if isinstance(p, np.ndarray) and p.dtype.kind == "f":
-        p -= p < 0
-        p += 2.0 ** (bits - 1)
-        p *= 2.0**-bits
-        return np.floor(p, out=p)
-    return (p + ((1 << (bits - 1)) - (p < 0))) >> bits
+    if not isinstance(p, np.ndarray):
+        return (p + ((1 << (bits - 1)) - (p < 0))) >> bits
+    if p.dtype.kind == "f":
+        q = np.subtract(p, p < 0, out=out)
+        q += 2.0 ** (bits - 1)
+        q *= 2.0**-bits
+        return np.floor(q, out=q)
+    q = np.add(p, (1 << (bits - 1)) - (p < 0), out=out)
+    return np.right_shift(q, bits, out=q)

@@ -97,6 +97,8 @@ class TernaryMatrix:
         zeros, and its columns are (window position, channel) with C
         channels minor, so that bound caps every partial sum of the row.
         """
+        # the whole-map peak reads a map several times faster than the
+        # per-channel peaks, so only a map the row rule fails pays for those
         top = peak(x)
         if x.ndim == 3 and self._fullest * top >= 1 << 24 and self.cols % x.shape[2] == 0:
             channels = x.shape[2]

@@ -149,22 +149,22 @@ class _ScaleShift:
         ``dtype`` that ``check`` chose for its peak; every cast is of exact
         integers (a constant that float64 rounds meets only x = 0).
 
-        In float64 the product array is rounded, shifted and offset in place,
-        the values past the act format are counted on both sides, and one
+        The product array is rounded, shifted and offset in place, the
+        values past the act format are counted on both sides, and one
         ``np.clip`` does the clamp and the ReLU, so a value below the format
         counts once under ReLU too. ``b`` is added after the floor, as the
         bound in ``check`` assumes.
         """
         # constants cast once per call, not per block of the ufunc's loop
         c, b = self.c.astype(dtype, copy=False), self.b.astype(dtype, copy=False)
-        y = shift_right_round(np.multiply(x, c, dtype=dtype, casting="unsafe"), self.scale_fmt.frac_bits)
-        y += b  # y is a new array
+        y = np.multiply(x, c, dtype=dtype, casting="unsafe")
+        y = shift_right_round(y, self.scale_fmt.frac_bits, out=y)
+        y += b
         fmt = self.act_fmt
-        if dtype is np.int64:
-            y = saturate(y, fmt, counter)
-            return np.maximum(y, 0, out=y) if act == "ReLU" else y
-        if counter is not None:  # both bounds are exact in float64, unlike raw_max
-            counter.hit(int(np.count_nonzero(y >= -fmt.raw_min)) + int(np.count_nonzero(y < fmt.raw_min)))
+        # exact in int64; in float64 |y| < 2^53, so a raw_max that float64
+        # rounds up is past every y and is never reached
+        if counter is not None:
+            counter.hit(int(np.count_nonzero(y > fmt.raw_max)) + int(np.count_nonzero(y < fmt.raw_min)))
         return np.clip(y, 0 if act == "ReLU" else fmt.raw_min, fmt.raw_max, out=y)
 
 

@@ -207,9 +207,16 @@ def test_shift_right_round_on_float64_equals_int64(data):
     near = (ties | st.just(limit)).flatmap(lambda v: st.integers(-2, 2).map(lambda d: min(v + d, limit)))
     signed = st.builds(lambda v, sign: sign * v, near | st.integers(0, limit), st.sampled_from((1, -1)))
     p = np.array(data.draw(st.lists(signed, max_size=20)), dtype=np.int64)
-    got = shift_right_round(p.astype(np.float64), bits)
+    f = p.astype(np.float64)
+    got = shift_right_round(f, bits)
     assert got.dtype == np.float64
-    assert got.tolist() == shift_right_round(p, bits).tolist()
+    want = shift_right_round(p, bits).tolist()
+    assert got.tolist() == want
+    assert f.tolist() == p.tolist()  # a new array unless out is given
+    # out=p divides in place, in either type
+    for q in (f, p.copy()):
+        assert shift_right_round(q, bits, out=q) is q
+        assert q.tolist() == want
 
 
 @given(st.data())
