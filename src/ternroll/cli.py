@@ -81,6 +81,13 @@ def _prove(m, result, what: str) -> None:
         raise GraphValidationError(f"{what} in column {int(e.argmax())}")
 
 
+def _compile(m: TernaryMatrix, method: str, arity: int, interval: int, align: bool, name: str, what: str):
+    """``m``'s scheduled adder graph by ``method``, proven by ``_prove``."""
+    g = _build_graph(_run_cse(method, m), arity, interval, align, name)
+    _prove(m, g, what)
+    return g
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -126,9 +133,8 @@ def _cmd_tree(args) -> int:
 
 def _cmd_emit(args) -> int:
     m = load_tmx(args.infile)
-    result = _run_cse(args.method, m)
-    g = _build_graph(result, args.arity, args.interval, not args.no_align, args.name)
-    _prove(m, g, "adder graph differs from its matrix")
+    g = _compile(m, args.method, args.arity, args.interval, not args.no_align, args.name,
+                 "adder graph differs from its matrix")
     _atomic_write(args.outfile, netlist.emit(g))
     _print_cost(g)
     return 0
@@ -228,8 +234,8 @@ def _cmd_report_ops(args) -> int:
         cse_costs = {}
         for i, layer in enumerate(net.layers):
             if layer.kind == "Conv":
-                g = _build_graph(_run_cse(args.method, weights[i]), args.arity, intervals[i], True, "")
-                _prove(weights[i], g, f"layer {i}: adder graph differs from its matrix")
+                g = _compile(weights[i], args.method, args.arity, intervals[i], True, "",
+                             f"layer {i}: adder graph differs from its matrix")
                 cse_costs[i] = cost(g).adds_plus_regs
     table = op_count(net, weights, cse_costs)
     print(f"{'Layer':<8} {'Formula':<22} {'MACs':>12} {'WithSparsity':>14} {'WithCSE':>12}")

@@ -17,37 +17,12 @@ documented tie-breaks. Both preserve exact symbolic equivalence, which
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, fields
-from typing import ClassVar
+from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import TernaryMatrix
+from .matrices import FrozenArrays, TernaryMatrix, _ascii_digits
 from .network import INT_LIMIT
-
-
-class FrozenArrays:
-    """Read-only array fields of a frozen dataclass, equal when all fields are.
-
-    ``ARRAYS`` maps each array field to its dtype. An array given read-only,
-    of that dtype and owning its data is kept as it is; anything else is
-    copied into one the caller cannot write to.
-    """
-
-    ARRAYS: ClassVar[dict[str, type]] = {}
-
-    def __post_init__(self) -> None:
-        for field, dtype in self.ARRAYS.items():
-            a = getattr(self, field)
-            if not (isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable and a.base is None):
-                a = np.array(a, dtype=dtype)
-                a.flags.writeable = False
-            object.__setattr__(self, field, a)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -585,10 +560,10 @@ class CseFormatError(ValueError):
 
 
 def _index(tok: str, at: int, lineno: int, what: str) -> int:
-    """The index ``tok[at:]``: ASCII digits (``str.isdigit`` admits others) of
-    value at most ``INT_LIMIT``, the cap of network files."""
+    """The index ``tok[at:]``: ASCII digits of value at most ``INT_LIMIT``,
+    the cap of network files."""
     digits = tok[at:]
-    if not (digits.isascii() and digits.isdigit()):
+    if not _ascii_digits(digits):
         raise CseFormatError(f"line {lineno}: bad {what} {tok!r}")
     if len(digits.lstrip("0")) > len(str(INT_LIMIT)) or int(digits) > INT_LIMIT:
         raise CseFormatError(f"line {lineno}: {what} {tok!r} has an index above {INT_LIMIT}")

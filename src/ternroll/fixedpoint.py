@@ -82,7 +82,11 @@ def quantize(values, fmt: FixedPointFormat, counter: SaturationCounter | None = 
         raise ValueError(f"cannot quantize non-finite values to {fmt}")
     with np.errstate(over="ignore"):  # a product past float64 saturates as +-inf
         x = x * fmt.scale
-    x = saturate(np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)), fmt, counter)
+    # clipping keeps +-inf products saturating; t + trunc(2 * (x - t)) rounds
+    # exactly, where floor(x + 0.5) would round x + 0.5 before the floor
+    x = np.clip(x, -(2.0**64), 2.0**64)
+    t = np.trunc(x)
+    x = saturate(t + np.trunc(2 * (x - t)), fmt, counter)
     top = x >= -fmt.raw_min  # raw_max past 53 bits, which float64 rounded up
     return np.where(top, fmt.raw_max, np.where(top, 0, x).astype(np.int64))
 

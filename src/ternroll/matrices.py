@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -18,6 +19,11 @@ class MatrixFormatError(ValueError):
     """A .tmx or .fmx file violates its format."""
 
 
+def _ascii_digits(tok: str) -> bool:
+    """Whether tok is ASCII digits only; ``str.isdigit`` admits others."""
+    return tok.isascii() and tok.isdigit()
+
+
 def _dimensions(lines: list[str], tag: str) -> tuple[int, int]:
     """Rows and columns from a ``<tag> <rows> <cols>`` header of ASCII digits."""
     if not lines:
@@ -25,7 +31,7 @@ def _dimensions(lines: list[str], tag: str) -> tuple[int, int]:
     head = lines[0].split()
     if len(head) != 3 or head[0] != tag:
         raise MatrixFormatError(f"line 1: expected '{tag} <rows> <cols>', got {lines[0]!r}")
-    if not all(t.isascii() and t.isdigit() for t in head[1:]):
+    if not all(_ascii_digits(t) for t in head[1:]):
         raise MatrixFormatError(f"line 1: bad dimensions in {lines[0]!r}: expected ASCII digits")
     rows, cols = int(head[1]), int(head[2])
     if rows < 1 or cols < 1:
@@ -33,26 +39,49 @@ def _dimensions(lines: list[str], tag: str) -> tuple[int, int]:
     return rows, cols
 
 
-@dataclass(frozen=True)
-class TernaryMatrix:
+class FrozenArrays:
+    """Read-only array fields of a frozen dataclass, equal when all fields are.
+
+    ``ARRAYS`` maps each array field to its dtype. An array given read-only,
+    of that dtype and owning its data is kept as it is; anything else is
+    copied into one the caller cannot write to.
+    """
+
+    ARRAYS: ClassVar[dict[str, type]] = {}
+
+    def __post_init__(self) -> None:
+        for field, dtype in self.ARRAYS.items():
+            a = getattr(self, field)
+            if not (isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable and a.base is None):
+                a = np.array(a, dtype=dtype)
+                a.flags.writeable = False
+            object.__setattr__(self, field, a)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class TernaryMatrix(FrozenArrays):
     """Constant weight matrix with entries restricted to {-1, 0, +1}.
 
     Rows correspond to outputs (filters), columns to inputs. Storage is a
     dense row-major int8 array; sparsity is exploited by the passes, not by
-    the container.
+    the container. The entries are read-only (see ``FrozenArrays``).
     """
+
+    ARRAYS = dict(entries=np.int8)
 
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=np.int8)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError(f"ternary matrix must be 2-D and non-empty, got shape {a.shape}")
-        if not np.isin(a, (-1, 0, 1)).all():
+        super().__post_init__()
+        if self.entries.ndim != 2 or 0 in self.entries.shape:
+            raise ValueError(f"ternary matrix must be 2-D and non-empty, got shape {self.entries.shape}")
+        if not np.isin(self.entries, (-1, 0, 1)).all():
             raise ValueError("ternary matrix entries must be -1, 0 or +1")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
 
     @property
     def rows(self) -> int:
@@ -145,21 +174,20 @@ class TernaryMatrix:
         return self.product(x.T.astype(self.product_dtype(x), copy=False)).astype(np.int64, copy=False).T
 
 
-@dataclass(frozen=True)
-class FloatMatrix:
+@dataclass(frozen=True, eq=False)
+class FloatMatrix(FrozenArrays):
     """Real-valued weight matrix, the input of ternarization."""
+
+    ARRAYS = dict(entries=np.float64)
 
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError(f"float matrix must be 2-D and non-empty, got shape {a.shape}")
-        if not np.isfinite(a).all():
+        super().__post_init__()
+        if self.entries.ndim != 2 or 0 in self.entries.shape:
+            raise ValueError(f"float matrix must be 2-D and non-empty, got shape {self.entries.shape}")
+        if not np.isfinite(self.entries).all():
             raise ValueError("float matrix entries must be finite")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
 
     @property
     def rows(self) -> int:
@@ -210,13 +238,6 @@ def parse_tmx(text: str) -> TernaryMatrix:
     raise MatrixFormatError(f"line {r + 2}, column {c + 1}: invalid character {line[c]!r}")
 
 
-def format_fmx(m: FloatMatrix) -> str:
-    lines = [f"fmx {m.rows} {m.cols}"]
-    for r in range(m.rows):
-        lines.append(" ".join(repr(float(v)) for v in m.entries[r]))
-    return "\n".join(lines) + "\n"
-
-
 def parse_fmx(text: str) -> FloatMatrix:
     """Parse the fmx format: header line, then whitespace-separated ASCII
     decimal reals that are finite."""
@@ -239,16 +260,6 @@ def load_tmx(path: str) -> TernaryMatrix:
         return parse_tmx(f.read())
 
 
-def dump_tmx(m: TernaryMatrix, path: str) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(format_tmx(m))
-
-
 def load_fmx(path: str) -> FloatMatrix:
     with open(path, "r", encoding="ascii") as f:
         return parse_fmx(f.read())
-
-
-def dump_fmx(m: FloatMatrix, path: str) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(format_fmx(m))

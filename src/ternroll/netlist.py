@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .matrices import _ascii_digits
 from .treegen import KINDS, AdderGraph, GraphValidationError, validate_graph
 
 
@@ -61,10 +62,6 @@ def _line_templates(width: int) -> np.ndarray:
 
 def _fail(lineno: int, msg: str) -> NetlistParseError:
     return NetlistParseError(f"line {lineno}: {msg}")
-
-
-def _ascii_digits(tok: str) -> bool:
-    return tok.isascii() and tok.isdigit()
 
 
 def _int(tok: str, lineno: int, what: str) -> int:

@@ -285,43 +285,9 @@ def parse_scale_shift(text: str) -> ScaleShiftParams:
         raise NetworkFormatError(str(e)) from e
 
 
-def format_network(net: NetworkSpec) -> str:
-    def layer_obj(l: LayerSpec) -> dict:
-        d = {"kind": l.kind, "in_width": l.in_width, "in_channels": l.in_channels}
-        if l.kind in ("Conv", "MaxPool") or l.kernel != 1:
-            d["kernel"] = l.kernel
-        if l.stride != 1:
-            d["stride"] = l.stride
-        if l.filters:
-            d["filters"] = l.filters
-        if l.epsilon:
-            d["epsilon"] = l.epsilon
-        if l.pixel_interval:
-            d["pixel_interval"] = l.pixel_interval
-        if l.activation != "None":
-            d["activation"] = l.activation
-        return d
-
-    obj = {
-        "clock_hz": net.clock_hz,
-        "act_format": {"total_bits": net.act_format.total_bits, "frac_bits": net.act_format.frac_bits},
-        "scale_format": {
-            "total_bits": net.scale_format.total_bits,
-            "frac_bits": net.scale_format.frac_bits,
-        },
-        "layers": [layer_obj(l) for l in net.layers],
-    }
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def load_network(path: str) -> NetworkSpec:
     with open(path, "r", encoding="utf-8") as f:
         return parse_network(f.read())
-
-
-def save_network(net: NetworkSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(format_network(net))
 
 
 def _conv_group(width: int, d_in: int, d_out: int, eps: float, interval: int) -> list[LayerSpec]:

@@ -30,7 +30,7 @@ from .fixedpoint import (
     saturate,
     shift_right_round,
 )
-from .matrices import TernaryMatrix
+from .matrices import FrozenArrays, TernaryMatrix, _ascii_digits
 from .network import LayerSpec, NetworkSpec, ScaleShiftParams
 
 
@@ -38,20 +38,20 @@ class ImageFormatError(ValueError):
     """An image file violates the img format."""
 
 
-@dataclass(frozen=True)
-class ImageStream:
-    """A raster-ordered image of raw fixed-point channel vectors."""
+@dataclass(frozen=True, eq=False)
+class ImageStream(FrozenArrays):
+    """A raster-ordered image of raw fixed-point channel vectors, read-only
+    (see ``FrozenArrays``)."""
+
+    ARRAYS = dict(data=np.int64)
 
     data: np.ndarray = field(repr=False)  # (height, width, channels) int64 raw
     frac_bits: int = 4
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.data, dtype=np.int64)
-        if a.ndim != 3:
-            raise ValueError(f"image must be HxWxD, got shape {a.shape}")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "data", a)
+        super().__post_init__()
+        if self.data.ndim != 3:
+            raise ValueError(f"image must be HxWxD, got shape {self.data.shape}")
 
     @property
     def height(self) -> int:
@@ -383,11 +383,7 @@ def throughput_model(net: NetworkSpec) -> ThroughputReport:
 
 def _tree_depth_estimate(layer: LayerSpec) -> int:
     terms = layer.kernel * layer.kernel * layer.in_channels
-    depth = 0
-    while terms > 1:
-        terms = -(-terms // 2)
-        depth += 1
-    return depth
+    return (terms - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -463,20 +459,6 @@ def op_count(
 RASTER_MARK = "le16"
 
 
-def format_img(img: ImageStream, binary: bool = False) -> bytes:
-    head = f"img {img.width} {img.height} {img.channels} {img.frac_bits}"
-    flat = img.data.reshape(-1)
-    if binary:
-        lo, hi = -(1 << 15), (1 << 15) - 1
-        if flat.min() < lo or flat.max() > hi:
-            raise ImageFormatError("binary img payload requires 16-bit raw values")
-        return f"{head} {RASTER_MARK}\n".encode("ascii") + struct.pack(f"<{flat.size}h", *[int(v) for v in flat])
-    body = "\n".join(
-        " ".join(str(int(v)) for v in img.data[i].reshape(-1)) for i in range(img.height)
-    )
-    return (head + "\n" + body + "\n").encode("ascii")
-
-
 def parse_img(blob: bytes) -> ImageStream:
     """Parse the img format: a header line ``img <W> <H> <D> <frac_bits>``,
     then ASCII raw values; or, with a sixth header field ``le16``, a raw
@@ -518,15 +500,6 @@ def parse_img(blob: bytes) -> ImageStream:
     return ImageStream(np.array(vals, dtype=np.int64).reshape(h, w, d), frac)
 
 
-def _ascii_digits(tok: str) -> bool:
-    return tok.isascii() and tok.isdigit()
-
-
 def load_img(path: str) -> ImageStream:
     with open(path, "rb") as f:
         return parse_img(f.read())
-
-
-def dump_img(img: ImageStream, path: str, binary: bool = False) -> None:
-    with open(path, "wb") as f:
-        f.write(format_img(img, binary))

@@ -24,10 +24,7 @@ def ternarize(w: FloatMatrix, epsilon: float) -> tuple[TernaryMatrix, float]:
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     a = w.entries
-    if not np.isfinite(a).all():
-        raise ValueError("weights contain non-finite entries")
-    delta = epsilon * float(np.abs(a).mean())
-    keep = np.abs(a) >= delta
+    keep = np.abs(a) >= threshold(w, epsilon)
     t = np.where(keep, np.sign(a), 0.0).astype(np.int8)
     survivors = np.abs(a)[keep & (np.sign(a) != 0)]
     s = float(survivors.mean()) if survivors.size else 0.0
@@ -44,8 +41,4 @@ def sparsity_sweep(w: FloatMatrix, eps_list: Sequence[float]) -> list[tuple[floa
     eps = list(eps_list)
     if any(b < a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_list must be sorted ascending")
-    out = []
-    for e in eps:
-        t, _ = ternarize(w, e)
-        out.append((float(e), t.sparsity()))
-    return out
+    return [(float(e), ternarize(w, e)[0].sparsity()) for e in eps]

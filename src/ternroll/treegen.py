@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cse import CseResult, FrozenArrays, _ranges, expand_paths
+from .cse import CseResult, _ranges, expand_paths
+from .matrices import FrozenArrays
 
 IN, ADD, DELAY, OUT = range(4)  # node kind codes, indices into KINDS
 KINDS = ("in", "add", "delay", "out")

@@ -25,17 +25,17 @@ from ternroll import (
 )
 from ternroll import cli
 from ternroll.cli import main
-from ternroll.matrices import FloatMatrix, dump_fmx, dump_tmx, load_tmx
+from ternroll.matrices import FloatMatrix, load_tmx
 from ternroll.cse import CseResult, parse_cse
 from ternroll.fixedpoint import FixedPointFormat
 from ternroll import netlist
-from ternroll.network import ACTIVATIONS, LayerSpec, NetworkSpec, save_network
-from ternroll.pipeline import dump_img
+from ternroll.network import ACTIVATIONS, LayerSpec, NetworkSpec
 
 from . import cse_rows
 from .basis import evaluate
 from .test_pipeline import tiny_net, tiny_weights
 from .trits import random_ternary
+from .writers import dump_fmx, dump_img, dump_tmx, save_network
 
 TMX_7X6 = "tmx 7 6\n00++00\n+0+++0\n0+00++\n0+000+\n+0++00\n+00+00\n0+00++\n"
 VGG7_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "vgg7_cifar10.json")

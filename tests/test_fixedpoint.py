@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ternroll.fixedpoint import (
@@ -21,11 +22,10 @@ from ternroll.pipeline import scale_shift
 # Scalar reference: one Python integer at a time, exact at every width
 
 
-def round_half_away(x: float) -> int:
-    """Round to nearest integer, ties away from zero."""
-    if x >= 0:
-        return math.floor(x + 0.5)
-    return math.ceil(x - 0.5)
+def round_half_away(x: float | Fraction) -> int:
+    """Round to nearest integer, ties away from zero, in exact arithmetic."""
+    n = math.floor(abs(Fraction(x)) + Fraction(1, 2))
+    return n if x >= 0 else -n
 
 
 def saturate_ref(raw: int, fmt: FixedPointFormat, counter: SaturationCounter | None = None) -> int:
@@ -41,7 +41,7 @@ def saturate_ref(raw: int, fmt: FixedPointFormat, counter: SaturationCounter | N
 
 
 def quantize_ref(x: float, fmt: FixedPointFormat, counter: SaturationCounter | None = None) -> int:
-    return saturate_ref(round_half_away(x * fmt.scale), fmt, counter)
+    return saturate_ref(round_half_away(Fraction(x) * fmt.scale), fmt, counter)
 
 
 def test_defaults():
@@ -132,7 +132,6 @@ def _reals(fmt: FixedPointFormat):
 def test_quantize_matches_scalar_reference(data):
     fmt = data.draw(_formats())
     xs = data.draw(st.lists(_reals(fmt), max_size=20))
-    xs = [x for x in xs if math.isfinite(x * fmt.scale)]  # the reference cannot round an infinite product
     want_count, got_count = SaturationCounter(), SaturationCounter()
     want = [quantize_ref(x, fmt, want_count) for x in xs]
     got = quantize(np.array(xs, dtype=np.float64), fmt, got_count)
@@ -154,6 +153,19 @@ def test_saturate_int64_matches_scalar_reference(data):
     got = saturate(np.array(raws, dtype=np.int64), fmt, got_count)
     assert got.dtype == np.int64
     assert got.tolist() == want
+    assert got_count.count == want_count.count
+
+
+@given(_formats(), st.floats(allow_nan=False, allow_infinity=False))
+@example(FixedPointFormat(56, 0), 2.0**52 + 1)
+@example(FixedPointFormat(56, 0), -(2.0**52 + 1))
+@example(FixedPointFormat(56, 0), 2.0**53 - 1)
+@example(FixedPointFormat(56, 0), 0.49999999999999994)
+@example(FixedPointFormat(64, 6), 1e300)
+def test_quantize_rounds_as_exact_arithmetic_does(fmt, x):
+    # floor(x + 0.5) rounds x + 0.5 in float64 first: 2**52 + 1 came out 2**52 + 2
+    want_count, got_count = SaturationCounter(), SaturationCounter()
+    assert quantize([x], fmt, got_count).tolist() == [quantize_ref(x, fmt, want_count)]
     assert got_count.count == want_count.count
 
 

@@ -8,7 +8,6 @@ from ternroll.matrices import (
     FloatMatrix,
     MatrixFormatError,
     TernaryMatrix,
-    format_fmx,
     format_tmx,
     parse_fmx,
     parse_tmx,
@@ -17,6 +16,7 @@ from ternroll.pipeline import ImageStream, patch_matrix
 
 from . import tmx_ref
 from .trits import random_ternary
+from .writers import format_fmx
 
 
 def test_sparsity_all_zero():
@@ -48,10 +48,39 @@ def test_immutable():
         m.entries[0, 0] = 1
 
 
+# (type, arguments, arguments of an unequal value) of each array value type
+VALUES = [
+    (TernaryMatrix, ([[1, 0, -1], [0, 1, 1]],), ([[1, 0, -1], [0, 1, 0]],)),
+    (FloatMatrix, ([[0.5, -2.0], [1.0, 3.0]],), ([[0.5, -2.0], [1.0, 3.25]],)),
+    (ImageStream, ([[[1, 2]], [[3, 4]]],), ([[[1, 2]], [[3, 5]]],)),
+    (ImageStream, ([[[1, 2]], [[3, 4]]], 4), ([[[1, 2]], [[3, 4]]], 5)),
+]
+
+
+@pytest.mark.parametrize("make, args, other", VALUES, ids=["tmx", "fmx", "img", "img-frac_bits"])
+def test_value_types_compare_by_value(make, args, other):
+    assert make(*args) == make(*args)
+    assert make(*args) != make(*other)
+    assert make(*args) != args[0]
+
+
+@pytest.mark.parametrize("make, args", [v[:2] for v in VALUES[:3]], ids=["tmx", "fmx", "img"])
+def test_value_types_take_their_own_read_only_arrays_and_copy_others(make, args):
+    (field,) = make.ARRAYS
+    x = make(*args)
+    a = getattr(x, field)
+    assert not a.flags.writeable
+    assert getattr(make(a), field) is a  # read-only, of the dtype and owning its data
+    assert getattr(make(a[:1]), field).base is None  # a view is copied
+    w = a.copy()
+    y = make(w)
+    w[(0,) * w.ndim] += 1
+    assert y == x and not getattr(y, field).flags.writeable
+
+
 def test_tmx_round_trip(rng):
     m = random_ternary(5, 7, 0.5, rng)
-    again = parse_tmx(format_tmx(m))
-    assert (again.entries == m.entries).all()
+    assert parse_tmx(format_tmx(m)) == m
 
 
 def test_tmx_format_example():
@@ -83,8 +112,7 @@ def test_tmx_strict_errors(text):
 
 def test_fmx_round_trip(rng):
     m = FloatMatrix(rng.normal(size=(3, 4)))
-    again = parse_fmx(format_fmx(m))
-    assert np.array_equal(again.entries, m.entries)
+    assert parse_fmx(format_fmx(m)) == m
 
 
 @pytest.mark.parametrize(

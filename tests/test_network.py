@@ -10,11 +10,12 @@ from ternroll.network import (
     NetworkFormatError,
     NetworkSpec,
     ScaleShiftParams,
-    format_network,
     parse_network,
     parse_scale_shift,
     vgg7_cifar10,
 )
+
+from .writers import format_network
 
 
 def small_net_obj():
