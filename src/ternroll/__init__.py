@@ -40,7 +40,6 @@ from .treegen import (
     cost,
     evaluate_batch,
     schedule_serial,
-    validate_graph,
 )
 
 __version__ = "0.1.0"
@@ -83,6 +82,5 @@ __all__ = [
     "td_cse",
     "ternarize",
     "throughput_model",
-    "validate_graph",
     "vgg7_cifar10",
 ]

@@ -59,15 +59,12 @@ class SaturationCounter:
 
 
 def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = None) -> np.ndarray:
-    """Clamp raw values to the format, counting the values clamped: integers
-    into a new int64 array, a float array of integers in place, in its type."""
+    """Clamp raw values to the format, counting the values clamped. An int64
+    array, or a float array of integers, is clamped in place in its type;
+    other integers are copied to int64 first."""
     raw = np.asarray(raw)
-    if raw.dtype.kind == "i":
-        raw = raw.astype(np.int64, copy=False)
-        out = np.clip(raw, fmt.raw_min, fmt.raw_max, out=np.empty_like(raw))  # in raw's memory order
-        if counter is not None:
-            counter.hit(int(np.count_nonzero(out != raw)))
-        return out
+    if raw.dtype.kind == "i" and raw.dtype != np.int64:
+        raw = raw.astype(np.int64)
     if counter is not None:  # both bounds are exact in any float type, unlike raw_max
         counter.hit(int(np.count_nonzero(raw >= -fmt.raw_min)) + int(np.count_nonzero(raw < fmt.raw_min)))
     # raw_max may round up, but only past the integers the type holds exactly

@@ -189,14 +189,6 @@ class FloatMatrix(FrozenArrays):
         if not np.isfinite(self.entries).all():
             raise ValueError("float matrix entries must be finite")
 
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
 
 #: the trit of each byte, 2 where the byte is no trit character
 _TRIT_OF_BYTE = np.full(256, 2, dtype=np.int8)

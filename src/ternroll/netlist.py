@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matrices import _ascii_digits
-from .treegen import KINDS, AdderGraph, GraphValidationError, validate_graph
+from .treegen import IN, KINDS, OUT, AdderGraph, GraphValidationError
 
 
 class NetlistParseError(ValueError):
@@ -31,8 +31,7 @@ class NetlistParseError(ValueError):
 
 
 def emit(g: AdderGraph) -> str:
-    """Serialize a validated graph; rejects graphs that fail validation."""
-    validate_graph(g)
+    """Serialize a graph, nodes in id order."""
     head = (
         f"ngl inputs {len(g.inputs)} outputs {len(g.outputs)} nodes {len(g.kind)} "
         f"digits {g.digits} total {g.total_bits} aligned {1 if g.outputs_aligned else 0}"
@@ -53,7 +52,7 @@ def emit(g: AdderGraph) -> str:
 @lru_cache(maxsize=8)
 def _line_templates(width: int) -> np.ndarray:
     """Node line templates, indexed by (kind * 4 + arity) * 8 + the bit mask
-    of the negative operands; validated arities are at most 3."""
+    of the negative operands; a graph's arities are at most 3."""
     return np.array([
         f"\nnode %d {kind} %d {width}" + "".join(" -%d" if neg >> k & 1 else " +%d" for k in range(arity))
         for kind in KINDS for arity in range(4) for neg in range(8)
@@ -135,19 +134,16 @@ def parse(text: str) -> AdderGraph:
         kinds.append(KINDS.index(parts[2]))
         stages.append(stage)
         start.append(len(node))
-    g = AdderGraph(
-        kinds, stages, start, node, sign, digits=digits, total_bits=total, outputs_aligned=aligned,
-        name=fields.get("name", ""),
-    )
-    if len(g.inputs) != n_in:
-        raise NetlistParseError(f"header declares {n_in} inputs, found {len(g.inputs)}")
-    if len(g.outputs) != n_out:
-        raise NetlistParseError(f"header declares {n_out} outputs, found {len(g.outputs)}")
+    for what, code, declared in (("inputs", IN, n_in), ("outputs", OUT, n_out)):
+        if kinds.count(code) != declared:
+            raise NetlistParseError(f"header declares {declared} {what}, found {kinds.count(code)}")
     try:
-        validate_graph(g)
+        return AdderGraph(
+            kinds, stages, start, node, sign, digits=digits, total_bits=total, outputs_aligned=aligned,
+            name=fields.get("name", ""),
+        )
     except GraphValidationError as e:
         raise NetlistParseError(str(e)) from e
-    return g
 
 
 def load(path: str) -> AdderGraph:

@@ -253,7 +253,6 @@ def simulate(
     net: NetworkSpec,
     weights: dict[int, TernaryMatrix | ScaleShiftParams],
     img: ImageStream,
-    counter: SaturationCounter | None = None,
 ) -> SimulationResult:
     """Run the block sequence functionally and bit-exactly.
 
@@ -267,8 +266,6 @@ def simulate(
     type that holds 2^(act bits - 1): float32 up to 25 act bits, float64 up
     to 54, int64 above.
     """
-    if counter is None:
-        counter = SaturationCounter()
     if (img.width, img.height, img.channels) != (net.input_width, net.input_width, net.input_channels):
         raise ValueError(
             f"image {img.width}x{img.height}x{img.channels} does not match network input "
@@ -282,6 +279,7 @@ def simulate(
         )
     steps = _steps(net, weights, peak(img.data))
     held = next(t for t, bits in ((np.float32, 24), (np.float64, 53), (np.int64, 63)) if -act.raw_min <= 1 << bits)
+    counter = SaturationCounter()
     x = img.data  # (H, W, C) before the flattening Mux, a vector after it
     for idx, layer in enumerate(net.layers):
         kind, (step, dtype) = layer.kind, steps[idx]
@@ -342,8 +340,7 @@ def throughput_model(net: NetworkSpec) -> ThroughputReport:
     an analytic estimate, not a measured figure.
     """
     period = net.input_width**2  # cycles per frame at one pixel a cycle
-    # the last block's output: width, channels, then `values` every `cycles`
-    width, chans, values, cycles = net.input_width, net.input_channels, net.input_channels, 1
+    values, cycles = net.input_channels, 1  # the last block's output: `values` every `cycles` cycles
     flat = False  # after the first Mux or Dense the stream is one vector a frame
     blocks: list[BlockRate] = []
     latency = 0
@@ -352,22 +349,21 @@ def throughput_model(net: NetworkSpec) -> ThroughputReport:
         kind = layer.kind
         if kind == "Buffer":
             pad = layer.kernel // 2
-            latency += 1 if flat else (pad * width + pad) * cycles
+            latency += 1 if flat else (pad * layer.in_width + pad) * cycles
         elif kind == "Conv":
-            chans = values = layer.filters
+            values = layer.filters
             latency += _tree_depth_estimate(layer) + min(cycles, net.act_format.total_bits) - 1
         elif kind == "ScaleShift":
             latency += 2
         elif kind == "MaxPool":
-            width //= layer.stride
             cycles *= layer.stride * layer.stride
             latency += max(1, (layer.kernel * layer.kernel - 1).bit_length())
         elif kind == "Fifo":
             latency += 1
-            fifo_hw[idx] = width * chans
+            fifo_hw[idx] = layer.in_width * layer.in_channels
         elif kind == "Mux":
             latency += cycles  # never more than a frame: pools shrink the width
-            width, chans, flat = 1, width * width * chans, True
+            flat = True
             if values % cycles == 0:
                 values, cycles = values // cycles, 1
             elif cycles % values == 0:
@@ -375,8 +371,8 @@ def throughput_model(net: NetworkSpec) -> ThroughputReport:
         elif kind == "Dense":
             lanes = values if flat and cycles == 1 else 1
             latency += -(-layer.weight_shape[1] // lanes) + 1
-            width, chans, values, cycles, flat = 1, layer.filters, layer.filters, period, True
-        blocks.append(BlockRate(idx, kind, width, chans, values, cycles))
+            values, cycles, flat = layer.filters, period, True
+        blocks.append(BlockRate(idx, kind, *layer.out_shape(), values, cycles))
     fps = Fraction(int(net.clock_hz), period)
     return ThroughputReport(tuple(blocks), fps, int(fps), latency, fifo_hw)
 

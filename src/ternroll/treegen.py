@@ -37,7 +37,8 @@ class AdderGraph(FrozenArrays):
     are the ``IN`` and ``OUT`` nodes in id order. ``digits`` is the serial
     schedule: 1 means fully parallel words, D > 1 means each sample is
     processed as D digits of ``digit_width`` bits. Evaluation semantics are
-    independent of the schedule.
+    independent of the schedule. A graph that breaks an invariant cannot be
+    made: see ``__post_init__``.
     """
 
     ARRAYS = dict(kind=np.int8, stage=np.int64, operand_start=np.int64, operand_node=np.int64, operand_sign=np.int8)
@@ -51,6 +52,36 @@ class AdderGraph(FrozenArrays):
     total_bits: int = 16
     outputs_aligned: bool = True
     name: str = ""
+
+    def __post_init__(self) -> None:
+        """Check shapes, operands, arities, stages and the digit count; a
+        ``GraphValidationError`` names the lowest bad node's first failed check."""
+        super().__post_init__()
+        kind, stage, start, node, sign = self.kind, self.stage, self.operand_start, self.operand_node, self.operand_sign
+        n = kind.size
+        if (any(a.ndim != 1 for a in (kind, stage, start, node, sign)) or len(stage) != n or len(start) != n + 1
+                or start[0] != 0 or (np.diff(start) < 0).any() or not len(node) == len(sign) == start[-1]):
+            raise GraphValidationError("node arrays have inconsistent lengths")
+        arity = np.diff(start)
+        owner = np.repeat(np.arange(n), arity)
+        bad_op = (node < 0) | (node >= owner) | (np.abs(sign) != 1)
+        lag = stage[owner] - stage[np.where(bad_op, 0, node)]  # an operand's stage below its node's
+        bad_lag = np.bincount(owner[lag != (kind[owner] != OUT)], minlength=n) > 0
+        bad = (
+            (np.bincount(owner[bad_op], minlength=n) > 0)
+            | (kind == IN) & ((arity > 0) | (stage != 0))
+            | (kind == ADD) & ((arity < 2) | (arity > 3) | bad_lag)
+            | (kind == DELAY) & ((arity != 1) | bad_lag)
+            | (kind == OUT) & ((arity > 1) | self.outputs_aligned & bad_lag)
+            | (kind < IN) | (kind > OUT)
+        )
+        if bad.any():
+            raise GraphValidationError(_node_error(self, int(np.argmax(bad))))
+        stages = np.unique(stage[kind == OUT]).tolist()
+        if self.outputs_aligned and len(stages) > 1:
+            raise GraphValidationError(f"output stages differ: {stages}")
+        if self.digits < 1 or self.total_bits % self.digits:
+            raise GraphValidationError(f"{self.digits} digits do not divide {self.total_bits} bits")
 
     @property
     def digit_width(self) -> int:
@@ -111,9 +142,7 @@ def build_tree(
     """
     if arity not in (2, 3):
         raise ValueError(f"adder arity must be 2 or 3, got {arity}")
-    g = AdderGraph(*_build(result, arity, align_outputs), outputs_aligned=align_outputs, name=name)
-    validate_graph(g)
-    return g
+    return AdderGraph(*_build(result, arity, align_outputs), outputs_aligned=align_outputs, name=name)
 
 
 def _build(result: CseResult, arity: int, align_outputs: bool) -> tuple[np.ndarray, ...]:
@@ -312,35 +341,6 @@ def _merge(n: np.ndarray, stage: np.ndarray, arity: int) -> tuple[np.ndarray, np
     add_pos = _ranges(np.zeros(m, np.int64), adds)
     add_pos += np.repeat(terms_upto[:, np.minimum(levels - lo, span - 1)].ravel(), per_level)
     return pos, add_stage, add_pos
-
-
-def validate_graph(g: AdderGraph) -> None:
-    """Check shapes, operands, arities and stages; name the lowest bad node's first failed check."""
-    kind, stage, start, node, sign = g.kind, g.stage, g.operand_start, g.operand_node, g.operand_sign
-    n = len(kind)
-    if (any(a.ndim != 1 for a in (kind, stage, start, node, sign)) or len(stage) != n or len(start) != n + 1
-            or start[0] != 0 or (np.diff(start) < 0).any() or not len(node) == len(sign) == start[-1]):
-        raise GraphValidationError("node arrays have inconsistent lengths")
-    arity = np.diff(start)
-    owner = np.repeat(np.arange(n), arity)
-    bad_op = (node < 0) | (node >= owner) | (np.abs(sign) != 1)
-    lag = stage[owner] - stage[np.where(bad_op, 0, node)]  # an operand's stage below its node's
-    bad_lag = np.bincount(owner[lag != (kind[owner] != OUT)], minlength=n) > 0
-    bad = (
-        (np.bincount(owner[bad_op], minlength=n) > 0)
-        | (kind == IN) & ((arity > 0) | (stage != 0))
-        | (kind == ADD) & ((arity < 2) | (arity > 3) | bad_lag)
-        | (kind == DELAY) & ((arity != 1) | bad_lag)
-        | (kind == OUT) & ((arity > 1) | g.outputs_aligned & bad_lag)
-        | (kind < IN) | (kind > OUT)
-    )
-    if bad.any():
-        raise GraphValidationError(_node_error(g, int(np.argmax(bad))))
-    stages = np.unique(stage[kind == OUT]).tolist()
-    if g.outputs_aligned and len(stages) > 1:
-        raise GraphValidationError(f"output stages differ: {stages}")
-    if g.digits < 1 or g.total_bits % g.digits:
-        raise GraphValidationError(f"{g.digits} digits do not divide {g.total_bits} bits")
 
 
 def _node_error(g: AdderGraph, nid: int) -> str:

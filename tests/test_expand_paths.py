@@ -24,7 +24,7 @@ from ternroll import (
     no_cse,
     td_cse,
 )
-from ternroll.treegen import ADD, IN, OUT
+from ternroll.treegen import ADD, DELAY, IN, OUT
 
 from . import cse_rows
 from .basis import dense, first_difference, on_basis
@@ -66,15 +66,17 @@ def _mutated_result(r: CseResult, draw) -> CseResult:
 
 def _mutated_graph(g: AdderGraph, draw) -> AdderGraph:
     """``g`` with one operand's sign flipped, or pointed at another earlier
-    node, or at a node the same owner already reads (so paths may cancel)."""
+    node of the same stage, or at a node the same owner already reads (so
+    paths may cancel); every mutant is a valid graph."""
     node, sign = g.operand_node.copy(), g.operand_sign.copy()
     owner = np.repeat(np.arange(len(g.kind)), np.diff(g.operand_start))
     j = draw(st.integers(0, len(node) - 1))
     how = draw(st.sampled_from(["sign", "node", "duplicate"]))
     if how == "sign":
         sign[j] *= -1
-    elif how == "node":
-        node[j] = draw(st.integers(0, owner[j] - 1))
+    elif how == "node":  # an earlier node at the same stage, so the graph stays valid
+        same = np.flatnonzero(g.stage[: owner[j]] == g.stage[node[j]])
+        node[j] = draw(st.sampled_from(same.tolist()))
     else:
         lo, hi = g.operand_start[owner[j] : owner[j] + 2]
         node[j] = node[draw(st.integers(lo, hi - 1))]
@@ -108,7 +110,7 @@ def test_verdict_equals_the_basis_evaluation(rows, cols, zeros, seed, method, ar
 
 
 def _graph(nodes) -> AdderGraph:
-    """A graph from (kind, stage, operands) triples, not validated."""
+    """A graph from (kind, stage, operands) triples."""
     kind, stage, ops = zip(*nodes)
     start = np.cumsum([0] + [len(o) for o in ops])
     pairs = [p for o in ops for p in o]
@@ -116,13 +118,14 @@ def _graph(nodes) -> AdderGraph:
 
 
 def test_cancelling_duplicate_operands():
-    # out 0 = (x0 + x1) - (x1 + x0) + (x1 - x1); out 1 = (x0 + x1) + (x0 + x1)
+    # out 0 = (x0 + x1) - (x1 + x0) + (x1 - x1); out 1 = (x0 + x1) + (x0 + x1),
+    # with delays 7 and 9 lifting x1 - x1 and out 1's sum to their readers' stages
     g = _graph([
         (IN, 0, []), (IN, 0, []),
         (ADD, 1, [(0, 1), (1, 1)]), (ADD, 1, [(1, 1), (0, 1)]), (ADD, 1, [(1, 1), (1, -1)]),
-        (ADD, 2, [(2, 1), (3, -1)]), (ADD, 2, [(2, 1), (2, 1)]),
-        (ADD, 3, [(5, 1), (4, 1)]),
-        (OUT, 3, [(7, 1)]), (OUT, 3, [(6, 1)]),
+        (ADD, 2, [(2, 1), (3, -1)]), (ADD, 2, [(2, 1), (2, 1)]), (DELAY, 2, [(4, 1)]),
+        (ADD, 3, [(5, 1), (7, 1)]), (DELAY, 3, [(6, 1)]),
+        (OUT, 3, [(8, 1)]), (OUT, 3, [(9, 1)]),
     ])
     assert [a.tolist() for a in g.expansion()] == [[1, 1], [0, 1], [2, 2]]
     _agrees_with_the_basis(TernaryMatrix([[0, 0], [1, 1]]), g)

@@ -54,10 +54,10 @@ def test_emit_deterministic(m7x6):
 
 
 def test_emit_rejects_invalid_graph():
-    # node 0 is an input, node 1 an add at stage 2 of +node0 -node0
-    bad = AdderGraph([IN, ADD], [0, 2], [0, 0, 2], [0, 0], [1, -1])
+    # node 0 is an input, node 1 an add at stage 2 of +node0 -node0: no such
+    # graph can be made, so none reaches emit
     with pytest.raises(GraphValidationError, match="add node 1 at stage 2 reads node 0 at stage 0"):
-        emit(bad)
+        AdderGraph([IN, ADD], [0, 2], [0, 0, 2], [0, 0], [1, -1])
 
 
 def test_parse_forward_reference():

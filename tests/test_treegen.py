@@ -15,12 +15,13 @@ from ternroll import (
     no_cse,
     schedule_serial,
     td_cse,
-    validate_graph,
 )
 from ternroll.cse import parse_cse
 from ternroll.treegen import (
     ADD,
+    IN,
     KINDS,
+    OUT,
     GraphValidationError,
     area_slice_estimate,
 )
@@ -69,13 +70,12 @@ def test_alignment_invariant_and_validator(two_output_matrix):
     start = g.operand_start
     for nid in np.flatnonzero(g.kind == ADD):
         assert (g.stage[g.operand_node[start[nid] : start[nid + 1]]] == g.stage[nid] - 1).all()
-    # a hand-corrupted stage is rejected
+    # a graph with a hand-corrupted stage cannot be made
     first_add = int(np.flatnonzero(g.kind == ADD)[0])
     stage = g.stage.copy()
     stage[first_add] += 1
-    bad = AdderGraph(g.kind, stage, g.operand_start, g.operand_node, g.operand_sign)
     with pytest.raises(GraphValidationError, match=f"add node {first_add} at stage"):
-        validate_graph(bad)
+        AdderGraph(g.kind, stage, g.operand_start, g.operand_node, g.operand_sign)
 
 
 def test_arity3_strictly_fewer_adders(rng):
@@ -320,38 +320,60 @@ def mutated_graphs(draw):
 
 @pytest.mark.parametrize(
     "arrays",
-    [([0], [0], [0, 5], [], []), ([0], [0, 1], [0, 0], [], []), ([0, 1], [0, 1], [0, 0, 2], [0, 0], [1])],
-    ids=["operands-past-the-end", "stage-per-node", "sign-per-operand"],
+    [
+        ([0], [0], [0, 5], [], []),
+        ([0], [0, 1], [0, 0], [], []),
+        ([0, 1], [0, 1], [0, 0, 2], [0, 0], [1]),
+        (0, [0], [0, 0], [], []),
+    ],
+    ids=["operands-past-the-end", "stage-per-node", "sign-per-operand", "scalar-kind"],
 )
 def test_validate_graph_rejects_inconsistent_arrays(arrays):
     with pytest.raises(GraphValidationError, match="node arrays have inconsistent lengths"):
-        validate_graph(AdderGraph(*arrays))
+        AdderGraph(*arrays)
 
 
 @pytest.mark.parametrize("digits", [0, -4, 3])
 def test_validate_graph_rejects_an_illegal_digit_count(digits):
     with pytest.raises(GraphValidationError, match=f"^{digits} digits do not divide 16 bits$"):
-        validate_graph(AdderGraph(digits=digits))
+        AdderGraph(digits=digits)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # node 1 adds itself to node 0: a cycle the proof would never finish walking
+        (lambda: AdderGraph([IN, ADD, OUT], [0, 1, 2], [0, 0, 2, 3], [0, 1, 1], [1, 1, 1]),
+         "node 1: operand 1 is not an earlier node"),
+        (lambda: AdderGraph([IN, ADD, IN], [0, 1, 0], [0, 0, 2, 2], [0, 2], [1, 1]),
+         "node 1: operand 2 is not an earlier node"),
+        # the graph is refused before digit_width can divide by 0
+        (lambda: AdderGraph(digits=0).digit_width, "0 digits do not divide 16 bits"),
+    ],
+    ids=["self-reading", "forward-reference", "zero-digits"],
+)
+def test_an_invalid_graph_cannot_be_made(make, message):
+    with pytest.raises(GraphValidationError, match=f"^{message}$"):
+        make()
 
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_graphs())
 def test_validate_graph_agrees_with_the_reference(case):
     kinds, stages, operands, aligned = case
-    g = AdderGraph(
+    arrays = (
         [KINDS.index(k) for k in kinds],
         stages,
         np.cumsum([0] + [len(ops) for ops in operands]),
         [op for ops in operands for op, _ in ops],
         [sign for ops in operands for _, sign in ops],
-        outputs_aligned=aligned,
     )
     want = graph_ref.validation_error(kinds, stages, operands, aligned)
     if want is None:
-        validate_graph(g)
+        AdderGraph(*arrays, outputs_aligned=aligned)
     else:
         with pytest.raises(GraphValidationError) as e:
-            validate_graph(g)
+            AdderGraph(*arrays, outputs_aligned=aligned)
         assert str(e.value) == want
 
 

@@ -64,8 +64,9 @@ def dump_img(img: ImageStream, path: str, binary: bool = False) -> None:
 
 
 def format_fmx(m: FloatMatrix) -> str:
-    lines = [f"fmx {m.rows} {m.cols}"]
-    for r in range(m.rows):
+    rows, cols = m.entries.shape
+    lines = [f"fmx {rows} {cols}"]
+    for r in range(rows):
         lines.append(" ".join(repr(float(v)) for v in m.entries[r]))
     return "\n".join(lines) + "\n"
 
