@@ -23,6 +23,7 @@ from .treegen import (
     area_slice_estimate,
     build_tree,
     cost,
+    name_error,
     schedule_serial,
 )
 
@@ -121,7 +122,15 @@ def _cmd_cse(args) -> int:
     return 0
 
 
+def _check_name(name: str) -> None:
+    """Refuse a ``--name`` the graph would refuse, before any work."""
+    why = name_error(name)
+    if why:
+        raise ValueError(f"--name: {why}")
+
+
 def _cmd_tree(args) -> int:
+    _check_name(args.name)
     with open(args.infile, "r", encoding="ascii") as f:
         result = parse_cse(f.read(), n_inputs=args.inputs)
     g = _build_graph(result, args.arity, args.interval, not args.no_align, args.name)
@@ -132,6 +141,7 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_emit(args) -> int:
+    _check_name(args.name)
     m = load_tmx(args.infile)
     g = _compile(m, args.method, args.arity, args.interval, not args.no_align, args.name,
                  "adder graph differs from its matrix")

@@ -11,6 +11,7 @@ distinct node kind.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +25,14 @@ KINDS = ("in", "add", "delay", "out")
 
 class GraphValidationError(RuntimeError):
     """An adder graph violates its structural invariants."""
+
+
+def name_error(name: str) -> str | None:
+    """Why ``name`` cannot name a graph, or None: a name is empty or a WORD
+    of the .ngl grammar, one or more ASCII characters from "!" to "~"."""
+    if name and not re.fullmatch("[!-~]+", name):
+        return f"graph name {name!r} is not one or more ASCII characters from '!' to '~'"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +63,7 @@ class AdderGraph(FrozenArrays):
     name: str = ""
 
     def __post_init__(self) -> None:
-        """Check shapes, operands, arities, stages and the digit count; a
+        """Check shapes, operands, arities, stages, the digit schedule and the name; a
         ``GraphValidationError`` names the lowest bad node's first failed check."""
         super().__post_init__()
         kind, stage, start, node, sign = self.kind, self.stage, self.operand_start, self.operand_node, self.operand_sign
@@ -69,6 +78,7 @@ class AdderGraph(FrozenArrays):
         bad_lag = np.bincount(owner[lag != (kind[owner] != OUT)], minlength=n) > 0
         bad = (
             (np.bincount(owner[bad_op], minlength=n) > 0)
+            | (stage < 0)
             | (kind == IN) & ((arity > 0) | (stage != 0))
             | (kind == ADD) & ((arity < 2) | (arity > 3) | bad_lag)
             | (kind == DELAY) & ((arity != 1) | bad_lag)
@@ -82,6 +92,11 @@ class AdderGraph(FrozenArrays):
             raise GraphValidationError(f"output stages differ: {stages}")
         if self.digits < 1 or self.total_bits % self.digits:
             raise GraphValidationError(f"{self.digits} digits do not divide {self.total_bits} bits")
+        if self.total_bits < 1:
+            raise GraphValidationError(f"total_bits must be at least 1, got {self.total_bits}")
+        why = name_error(self.name)
+        if why:
+            raise GraphValidationError(why)
 
     @property
     def digit_width(self) -> int:
@@ -353,6 +368,8 @@ def _node_error(g: AdderGraph, nid: int) -> str:
         if sign not in (-1, 1):
             return f"node {nid}: operand sign {sign}"
     kind, stage, k = int(g.kind[nid]), int(g.stage[nid]), len(ops)
+    if stage < 0:
+        return f"node {nid} is at stage {stage}, below 0"
     if kind == IN:
         return f"input node {nid} must be bare at stage 0"
     if kind == ADD and 2 <= k <= 3:

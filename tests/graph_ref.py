@@ -16,6 +16,8 @@ def validation_error(kinds, stages, operands, aligned=True, digits=1, total_bits
                 return f"node {nid}: operand {op} is not an earlier node"
             if sign not in (-1, 1):
                 return f"node {nid}: operand sign {sign}"
+        if stage < 0:
+            return f"node {nid} is at stage {stage}, below 0"
         if kind == "in":
             if ops or stage != 0:
                 return f"input node {nid} must be bare at stage 0"

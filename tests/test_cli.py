@@ -232,6 +232,23 @@ def test_emit_one_shot(tmp_path, m7x6_file):
     assert evaluate(g, [1] * 6) == [2, 4, 3, 2, 3, 2, 3]
 
 
+@pytest.mark.parametrize("name", ["a b", "x\ny", "\u00e9"], ids=["space", "newline", "non-ascii"])
+@pytest.mark.parametrize("command", ["tree", "emit"])
+def test_a_name_the_netlist_cannot_hold_is_refused(tmp_path, m7x6_file, capsys, command, name):
+    infile, ngl_path = m7x6_file, tmp_path / "n.ngl"
+    if command == "tree":
+        infile = str(tmp_path / "a.cse")
+        assert main(["cse", "--method", "td", m7x6_file, infile]) == 0
+        capsys.readouterr()
+    assert main([command, "--name", name, infile, str(ngl_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"ternroll: --name: graph name {name!r} is not one or more ASCII characters from '!' to '~'\n"
+    )
+    assert not ngl_path.exists()
+    assert main([command, "--name", "conv_1!", infile, str(ngl_path)]) == 0
+    assert netlist.load(str(ngl_path)).name == "conv_1!"
+
+
 def test_arity3_serial_rejected(tmp_path, m7x6_file, capsys):
     ngl_path = tmp_path / "c.ngl"
     rc = main(["emit", "--method", "td", "--arity", "3", "--interval", "4", m7x6_file, str(ngl_path)])

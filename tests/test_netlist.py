@@ -1,6 +1,9 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ternroll import (
@@ -12,9 +15,11 @@ from ternroll import (
     schedule_serial,
     td_cse,
 )
+from ternroll import netlist
 from ternroll.netlist import NetlistParseError, emit, parse
-from ternroll.treegen import ADD, IN, GraphValidationError
+from ternroll.treegen import ADD, DELAY, IN, KINDS, OUT, GraphValidationError
 
+from . import netlist_ref
 from .trits import random_ternary
 
 
@@ -208,3 +213,162 @@ def test_digit_schedule_round_trip(filter_matrix):
 def test_name_round_trip(filter_matrix):
     g = build_tree(no_cse(filter_matrix), 2, name="conv1")
     assert parse(emit(g)).name == "conv1"
+
+
+# ---------------------------------------------------------------------------
+# emit against its one-format reference, the array parse against the loop
+
+LAST_STAGE = 2**63 - 1
+
+
+@st.composite
+def adder_graphs(draw):
+    """Valid graphs, drawn node by node: an add or a delay reads nodes of one
+    stage below it, an output reads at most one node, of its own stage when
+    the outputs are aligned; a bare output takes any stage up to 2^63 - 1."""
+    aligned = draw(st.booleans())
+    out_stage = draw(st.sampled_from([0, 1, 2**31, LAST_STAGE]))  # every output's, when aligned
+    kinds, stages, start, node, sign = [], [], [0], [], []
+    for i in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(KINDS))
+        ops, stage = [], 0
+        sources = [j for j in range(i) if stages[j] < LAST_STAGE]
+        if kind in ("add", "delay") and sources:
+            stage = stages[draw(st.sampled_from(sources))] + 1
+            k = draw(st.integers(2, 3)) if kind == "add" else 1
+            pool = [j for j in sources if stages[j] == stage - 1]
+            ops = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+        elif kind == "out":
+            stage = out_stage if aligned else draw(st.sampled_from([0, 3, 2**31 - 1, 2**31, LAST_STAGE]))
+            pool = [j for j in range(i) if stages[j] == stage or not aligned]
+            ops = draw(st.lists(st.sampled_from(pool), max_size=1)) if pool else []
+        else:
+            kind = "in"
+        kinds.append(KINDS.index(kind))
+        stages.append(stage)
+        node += ops
+        sign += draw(st.lists(st.sampled_from([1, -1]), min_size=len(ops), max_size=len(ops)))
+        start.append(len(node))
+    digits = draw(st.sampled_from([1, 2, 16]))
+    name = draw(st.just("") | st.text(st.characters(min_codepoint=ord("!"), max_codepoint=ord("~")), min_size=1))
+    return AdderGraph(
+        kinds, stages, start, node, sign, digits=digits, total_bits=digits * draw(st.sampled_from([1, 16, 128])),
+        outputs_aligned=aligned, name=name,
+    )
+
+
+def _bare_outputs(stages, aligned):
+    return AdderGraph([OUT] * len(stages), stages, [0] * (len(stages) + 1), [], [], outputs_aligned=aligned)
+
+
+# three inputs and one 3-operand add per mask of negative operands
+SIGN_MASKS = AdderGraph(
+    [IN] * 3 + [ADD] * 8, [0] * 3 + [1] * 8, [0, 0, 0] + list(range(0, 25, 3)), [0, 1, 2] * 8,
+    [-1 if mask >> k & 1 else 1 for mask in range(8) for k in range(3)],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=adder_graphs())
+@example(g=AdderGraph())
+@example(g=_bare_outputs([5], True))
+@example(g=_bare_outputs([5, 0], False))
+@example(g=SIGN_MASKS)
+@example(g=_bare_outputs([2**31 - 1, 2**31], False))
+@example(g=AdderGraph([OUT, DELAY, OUT], [2**31, 2**31 + 1, LAST_STAGE], [0, 0, 1, 2], [0, 1], [-1, 1],
+                      outputs_aligned=False))
+@example(g=AdderGraph([IN, DELAY], [0, 1], [0, 0, 1], [0], [1], digits=16))  # digit width 1
+@example(g=AdderGraph([IN], [0], [0, 0], [], [], total_bits=128))  # digit width 128
+@example(g=AdderGraph([IN] * 1000, [0] * 1000, [0] * 1001, [], [], name="conv1"))
+def test_emit_equals_the_reference_and_parses_back_on_arrays(g):
+    text = emit(g)
+    assert text == netlist_ref.emit(g)
+    with mock.patch.object(netlist, "_read_lines", side_effect=AssertionError("the per-line loop ran")):
+        assert parse(text) == g
+
+
+def _outcome(text):
+    """The graph ``parse`` gives, or its error message."""
+    try:
+        return parse(text)
+    except NetlistParseError as e:
+        return str(e)
+
+
+def _assert_paths_agree(text):
+    with mock.patch.object(netlist, "_scan", return_value=None):
+        by_line = _outcome(text)
+    assert _outcome(text) == by_line
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=ngl_texts() | st.text())
+def test_array_parse_agrees_with_the_line_loop(text):
+    _assert_paths_agree(text)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda t: t.replace("ngl", "xgl", 1),
+        lambda t: t.replace("node 0 in 0 16", "node 0 frob 0 16"),
+        lambda t: t.replace("nodes 16", "nodes 9"),
+        lambda t: t + "node 99 add 1 16 +0 +1\n",
+        lambda t: t.replace("aligned 0", "aligned 7"),
+        lambda t: t.replace("total 16", "total 12", 1),
+        lambda t: t.replace("node 0 in 0 16", "node 0 in o 16"),
+        lambda t: t.replace("node 1 in", "node 1 i"),
+        lambda t: t.replace("node 2 ", "edon 2 "),
+        lambda t: t.replace("nodes 16", "nodes 17") + "node 16 in 0\n",
+        lambda t: re.sub(r"[+-][0-9]+\n", "+\n", t, count=1),
+        lambda t: t.replace(" +", " +1000000000000000000", 1),  # 10^19 + its operand
+        lambda t: t.replace("node 1 ", "node\x011 "),
+        lambda t: t.replace("aligned 0\n", "aligned 0\rnode\n"),
+    ],
+)
+def test_array_parse_agrees_with_the_line_loop_on_structured_mutations(filter_matrix, mutate):
+    _assert_paths_agree(mutate(emit(build_tree(no_cse(filter_matrix), 2, align_outputs=False))))
+
+
+@pytest.mark.parametrize("operands", ["+0 -2999", "10 +-1", "+0 +3000", "+0 -0", "+12 -2_0", "+18446744073709551616 -0"])
+def test_array_parse_agrees_with_the_line_loop_on_a_wide_add(operands):
+    # a misplaced sign reads as a digit worth 2,510 or more, and 2^64 wraps
+    # to 0 in uint64; 3,000 inputs leave room for such a reference
+    lines = [f"node {i} in 0 16" for i in range(3000)] + [f"node 3000 add 1 16 {operands}"]
+    _assert_paths_agree("ngl inputs 3000 outputs 0 nodes 3001 digits 1 total 16 aligned 1\n" + "\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "respace",
+    [
+        lambda t: t.replace(" ", "\t").replace("\n", "\r\n"),
+        lambda t: t.replace("\n", "\n \x1f\n  "),
+        lambda t: t.replace("\n", "\x0b").replace("\x0b", "\n", 1),
+        lambda t: t.replace("\n", "\x1c\x1d\x1e\x0c\r").replace("\x1c\x1d\x1e\x0c\r", "\n", 1),
+        lambda t: t.replace("node 3 ", "node 003 ").replace(" 16", " 016").replace(" +", " +0000000000000000"),
+    ],
+    ids=["tabs-crlf", "blank-lines", "vertical-tabs", "other-breaks", "leading-zeros"],
+)
+def test_array_parse_reads_ascii_whitespace_and_leading_zeros(filter_matrix, respace):
+    g = build_tree(no_cse(filter_matrix), 2, align_outputs=False)
+    text = respace(emit(g))
+    assert text != emit(g)
+    with mock.patch.object(netlist, "_read_lines", side_effect=AssertionError("the per-line loop ran")):
+        assert parse(text) == g
+
+
+def test_array_parse_agrees_with_the_line_loop_on_fuzzed_mutations(m7x6, rng):
+    raw = list(emit(build_tree(td_cse(m7x6), 2)))
+    for _ in range(300):
+        pos = int(rng.integers(len(raw)))
+        if raw[pos] != "\n":
+            old, raw[pos] = raw[pos], "0123456789+-"[int(rng.integers(12))]
+            _assert_paths_agree("".join(raw))
+            raw[pos] = old
+
+
+@pytest.mark.parametrize("name", ["\u00e9", "a\x01b", "\x7f"])
+def test_parse_refuses_a_name_that_is_not_a_word(name):
+    text = f"ngl inputs 0 outputs 0 nodes 0 digits 1 total 16 aligned 1 name {name}\n"
+    with pytest.raises(NetlistParseError, match="is not one or more ASCII characters from '!' to '~'$"):
+        parse(text)

@@ -349,8 +349,19 @@ def test_validate_graph_rejects_an_illegal_digit_count(digits):
          "node 1: operand 2 is not an earlier node"),
         # the graph is refused before digit_width can divide by 0
         (lambda: AdderGraph(digits=0).digit_width, "0 digits do not divide 16 bits"),
+        # a netlist stage is ASCII digits, so no graph below stage 0 could be read back
+        (lambda: AdderGraph([OUT], [-1], [0, 0], [], []), "node 0 is at stage -1, below 0"),
+        (lambda: AdderGraph([OUT, ADD], [-2, -1], [0, 0, 2], [0, 0], [1, -1], outputs_aligned=False),
+         "node 0 is at stage -2, below 0"),
+        (lambda: AdderGraph([IN], [-1], [0, 0], [], []), "node 0 is at stage -1, below 0"),
+        # nor one whose digit schedule or name the header cannot hold
+        (lambda: AdderGraph(total_bits=0), "total_bits must be at least 1, got 0"),
+        (lambda: AdderGraph(total_bits=-16), "total_bits must be at least 1, got -16"),
+        (lambda: AdderGraph(name="a b"), "graph name 'a b' is not one or more ASCII characters from '!' to '~'"),
+        (lambda: AdderGraph(name="\u00e9"), "graph name '\u00e9' is not one or more ASCII characters from '!' to '~'"),
     ],
-    ids=["self-reading", "forward-reference", "zero-digits"],
+    ids=["self-reading", "forward-reference", "zero-digits", "bare-output-below-0", "add-below-0", "input-below-0",
+         "no-bits", "negative-bits", "name-with-a-space", "non-ascii-name"],
 )
 def test_an_invalid_graph_cannot_be_made(make, message):
     with pytest.raises(GraphValidationError, match=f"^{message}$"):
