@@ -13,8 +13,8 @@ import sys
 import tempfile
 
 from . import netlist
-from .cse import CseResult, bu_cse, find_counterexample, format_cse, no_cse, parse_cse, td_cse
-from .matrices import TernaryMatrix, format_tmx, load_fmx, load_tmx
+from .cse import CseFormatError, CseResult, bu_cse, find_counterexample, format_cse, no_cse, parse_cse, td_cse
+from .matrices import TernaryMatrix, format_tmx, load_fmx, load_tmx, read_ascii
 from .network import NetworkFormatError, NetworkSpec, load_network, parse_scale_shift
 from .pipeline import load_img, op_count, simulate, throughput_model
 from .ternarize import sparsity_sweep, ternarize, threshold
@@ -131,8 +131,7 @@ def _check_name(name: str) -> None:
 
 def _cmd_tree(args) -> int:
     _check_name(args.name)
-    with open(args.infile, "r", encoding="ascii") as f:
-        result = parse_cse(f.read(), n_inputs=args.inputs)
+    result = parse_cse(read_ascii(args.infile, CseFormatError), n_inputs=args.inputs)
     g = _build_graph(result, args.arity, args.interval, not args.no_align, args.name)
     _prove(result, g, "adder graph differs from its listing")
     _atomic_write(args.outfile, netlist.emit(g))

@@ -143,31 +143,32 @@ def no_cse(m: TernaryMatrix) -> CseResult:
 # Top-down extraction
 
 
-def _pair_keys(signs: np.ndarray, cols: np.ndarray, n_vars: int) -> np.ndarray:
-    """Keys of the pairs (c, v) for each c in ``cols`` and every v < n_vars.
+def _pair_keys(a: np.ndarray, b: np.ndarray, key_type: type) -> np.ndarray:
+    """Keys of the variable pairs (a, b), their two orientations' larger.
 
-    ``signs`` is the (rows x variables) working sign matrix. The result has
-    shape (len(cols), n_vars, 2); orientation 0 counts the rows where both
-    terms have the same sign, orientation 1 those where they differ. A pair
-    occurring in count >= 2 rows, the first of which is row f, gets the key
-    count * R + (R - 1 - f), where R is the row count; any other pair gets 0.
+    ``a`` and ``b`` stack the (P, U) bitsets of their variables on axis 0,
+    words on axis 1, and broadcast together. Of the rows U_a & U_b holding
+    both terms, those where P_a ^ P_b is set have them with mixed signs and
+    the rest with the same sign. An orientation found in count rows, the
+    first of them row f, has the key count * 64w + (64w - 1 - f), w the
+    words: f is the lowest set bit, a word x has popcount(x ^ -x) bits above
+    its lowest, and the lowest nonzero word decides.
     """
-    n_rows = signs.shape[0]
-    small = np.min_scalar_type(-1 - n_rows)  # holds every count and rank below
-    rows = np.flatnonzero(signs[:, cols].any(axis=1))
-    # relative sign of each (c, v) term pair in each row: +1, -1, or 0 if absent
-    rel = signs[np.ix_(rows, cols)].T[:, :, None] * signs[rows, :n_vars][None, :, :]
-    ranked = rel * (n_rows - 1 - rows).astype(small)[None, :, None]
-    present = np.abs(rel).sum(axis=1, dtype=small).astype(np.int64)
-    signed = rel.sum(axis=1, dtype=small)
-    same, mixed = (present + signed) // 2, (present - signed) // 2
-    # with two or more hits, some hit is not the last row, so its rank is > 0
-    # and the extreme rank is the first hit's
-    keys = np.empty((len(cols), n_vars, 2), dtype=np.int64)
-    keys[..., 0] = np.where(same >= 2, same * n_rows + ranked.max(axis=1, initial=0), 0)
-    keys[..., 1] = np.where(mixed >= 2, mixed * n_rows - ranked.min(axis=1, initial=0), 0)
-    keys[np.arange(len(cols)), cols] = 0
-    return keys
+    words = a.shape[1]
+    both = a[1] & b[1]
+    masks = np.empty((2, *both.shape), dtype=np.uint64)  # same sign, mixed signs
+    np.bitwise_xor(a[0], b[0], out=masks[1])
+    masks[1] &= both
+    np.bitwise_xor(both, masks[1], out=masks[0])
+    keys = np.bitwise_count(masks).sum(axis=1, dtype=key_type)
+    keys *= 64 * words
+    x = masks[:, -1]
+    rank = np.bitwise_count(x ^ -x)
+    for w in range(words - 2, -1, -1):
+        x = masks[:, w]
+        rank = np.where(x != 0, np.bitwise_count(x ^ -x) + key_type(64 * (words - 1 - w)), rank)
+    keys += rank
+    return np.maximum(keys[0], keys[1])
 
 
 def td_cse(
@@ -185,76 +186,92 @@ def td_cse(
     row index), then to the smallest (i, j) with the same-sign orientation
     before the mixed one.
 
-    The working rows are an int8 sign matrix S whose column index is the
-    variable id. Each pair (u, v) in orientation o (0 same sign, 1 mixed)
-    has one integer key K[u, v, o] = count * R + (R - 1 - first row), or 0
-    when it occurs in fewer than two rows (R is the row count), so one
-    integer orders by frequency, then first row. K is symmetric. With
-    best[u] = max K[u], the first argmax of best is the smallest i among the
-    winners and the first argmax of K[i] the smallest j, then the same-sign
-    orientation: the tie-break above. An extraction changes only the pairs
-    of i, j and the new variable, so those three columns of K are recomputed
-    from S, and best only for rows whose maximum fell.
+    Each variable's rows are two packed bitsets of w words, words first:
+    P, the rows adding it, and U, the rows holding it; row r is bit r % 64
+    of word r // 64. Each orientation of a pair (u, v) has one integer key,
+    count * 64w + (64w - 1 - first row) (see ``_pair_keys``), which orders
+    by frequency, then first row; a key below 2 * 64w is a pair in fewer
+    than two rows. One symmetric plane K[u, v] holds the larger of a pair's
+    two keys, 0 on the diagonal. With best[u] = max K[u], the first argmax
+    of best is the smallest i among the winners and the first argmax of
+    K[i] the smallest j. The winner's orientation is the one its key
+    describes, read off as the relative sign of i and j in its first row:
+    the two orientations of a pair never share a row, so they never tie,
+    and this is the tie-break above. An extraction changes only the pairs
+    of i, j and the new variable, so those three rows and columns of K are
+    recomputed from the bitsets, and best only for rows whose maximum fell.
     """
     n_rows, n_inputs = m.rows, m.cols
     n_terms = int(np.count_nonzero(m.entries))
     # each extraction removes at least two row terms
     most = n_terms // 2 if max_extractions is None else min(n_terms // 2, max_extractions)
     # room for n_terms // 4 new variables, about what measured runs needed;
-    # grown by half when full, since the key array takes cap**2 space
+    # grown by half when full, since the key plane takes cap**2 space
     cap = n_inputs + min(most, n_terms // 4 + 1)
-    key_type = np.min_scalar_type(n_rows * n_rows + n_rows - 1)
-    signs = np.zeros((n_rows, cap), dtype=np.int8)
-    signs[:, :n_inputs] = m.entries
-    keys = np.zeros((cap, cap, 2), dtype=key_type)
-    step = max(1, (1 << 20) // (n_rows * n_inputs))
+    words = -(-n_rows // 64)
+    span = 64 * words
+    key_type = np.min_scalar_type(n_rows * span + span - 1).type
+    bits = np.zeros((2, words, cap), dtype=np.uint64)  # (P, U) by word, then variable
+    planes = np.zeros((2, span, n_inputs), dtype=bool)
+    planes[:, :n_rows] = m.entries > 0, m.entries != 0
+    planes = planes.reshape(2, words, 64, n_inputs).transpose(0, 1, 3, 2)
+    bits[..., :n_inputs] = np.packbits(planes, axis=-1, bitorder="little").view("<u8")[..., 0]
+    keys = np.zeros((cap, cap), dtype=key_type)
+    step = max(1, (1 << 16) // (words * n_inputs))
     for lo in range(0, n_inputs, step):
         cols = np.arange(lo, min(lo + step, n_inputs))
-        keys[cols, :n_inputs] = _pair_keys(signs, cols, n_inputs)
-    best = np.zeros(cap, dtype=key_type)
-    best[:n_inputs] = keys[:n_inputs, :n_inputs].max(axis=(1, 2))
+        keys[cols, :n_inputs] = _pair_keys(bits[:, :, cols, None], bits[:, :, None, :n_inputs], key_type)
+        keys[cols, cols] = 0
+    best = keys[:, :n_inputs].max(axis=1)
 
     def_var: list[int] = []  # definition k, of variable n_inputs + k, is +x_i ±x_j with i < j
     def_sign: list[int] = []
     n = n_inputs
     while max_extractions is None or n - n_inputs < max_extractions:
         i = int(best[:n].argmax())
-        if best[i] == 0:
+        if best[i] < 2 * span:
             break
-        j, o = divmod(int(keys[i, :n].argmax()), 2)
-        rel = 1 - 2 * o
+        j = int(keys[i, :n].argmax())
+        count, rank = divmod(int(keys[i, j]), span)
+        # the winner's orientation is the relative sign of i and j in its first row
+        word, bit = divmod(span - 1 - rank, 64)
+        differ = bits[0, :, i] ^ bits[0, :, j]
+        rel = 1 - 2 * int(differ[word] >> np.uint64(bit) & np.uint64(1))
+        occ = bits[1, :, i] & bits[1, :, j] & (differ if rel < 0 else ~differ)
         if n == cap:
             cap = min(n_inputs + most, cap + (cap - n_inputs) // 2 + 1)
-            signs = np.pad(signs, ((0, 0), (0, cap - n)))
+            bits = np.pad(bits, ((0, 0), (0, 0), (0, cap - n)))
             best = np.pad(best, (0, cap - n))
-            grown = np.zeros((cap, cap, 2), dtype=key_type)
+            grown = np.zeros((cap, cap), dtype=key_type)
             grown[:n, :n] = keys
             keys = grown
-        occ = np.flatnonzero(signs[:, i] * signs[:, j] == rel)
-        signs[occ, n] = signs[occ, i]
-        signs[occ, i] = 0
-        signs[occ, j] = 0
+        bits[:, :, n] = bits[:, :, i] & occ
+        keep = ~occ
+        bits[:, :, i] &= keep
+        bits[:, :, j] &= keep
         def_var += i, j
         def_sign += 1, rel
         if trace is not None:
-            trace.append(ExtractionEvent(n, ((i, 1), (j, rel)), len(occ)))
+            trace.append(ExtractionEvent(n, ((i, 1), (j, rel)), count))
         n += 1
         cols = np.array([i, j, n - 1])
         old = keys[cols, :n]
-        new = _pair_keys(signs, cols, n)
+        new = _pair_keys(bits[:, :, cols, None], bits[:, :, None, :n], key_type)
+        new[[0, 1, 2], cols] = 0
         keys[cols, :n] = new
-        for c, col in zip(cols, new):
-            keys[:n, c] = col
+        keys[:n, cols] = new.T
         # per variable v, the largest key among the pairs (c, v) before and after
-        old_max = np.maximum(old[..., 0], old[..., 1]).max(axis=0)
-        new_max = np.maximum(new[..., 0], new[..., 1]).max(axis=0)
+        old_max = old.max(axis=0)
+        new_max = new.max(axis=0)
         stale = (old_max == best[:n]) & (new_max < old_max)
         stale[cols] = True
-        np.maximum(best[:n], new_max, out=best[:n], casting="unsafe")
+        np.maximum(best[:n], new_max, out=best[:n])
         stale = np.flatnonzero(stale)
-        best[stale] = keys[stale, :n].max(axis=(1, 2))
+        best[stale] = keys[stale, :n].max(axis=1)
 
-    start, var, sign = _rows(signs[:, :n])
+    held = bits[..., :n].transpose(0, 2, 1).astype("<u8", order="C").view(np.uint8)
+    held = np.unpackbits(held, axis=-1, bitorder="little")[..., :n_rows].transpose(0, 2, 1).astype(np.int8)
+    start, var, sign = _rows(2 * held[0] - held[1])
     k = n - n_inputs
     start = np.r_[0 : 2 * k : 2, start + 2 * k]
     return CseResult(n_inputs, np.arange(n_inputs, n), start, np.r_[def_var, var], np.r_[def_sign, sign])
@@ -265,7 +282,7 @@ def td_cse(
 
 
 def _pack(signs: np.ndarray, words: int) -> np.ndarray:
-    """(rows, 2, words) uint64 bitsets of the + and the - terms of each row.
+    """(2, words, rows) uint64 bitsets of the + and the - terms of each row.
 
     Variable v is bit 63 - v % 64 of word v // 64, so reading a row's words
     in order, most significant bit first, visits its variables in order.
@@ -273,12 +290,13 @@ def _pack(signs: np.ndarray, words: int) -> np.ndarray:
     planes = np.zeros((signs.shape[0], 2, 64 * words), dtype=bool)
     planes[:, 0, : signs.shape[1]] = signs > 0
     planes[:, 1, : signs.shape[1]] = signs < 0
-    return np.packbits(planes, axis=-1).view(">u8").astype(np.uint64)
+    return np.packbits(planes, axis=-1).view(">u8").astype(np.uint64).transpose(1, 2, 0)
 
 
 def _unpack(bits: np.ndarray, n_vars: int) -> np.ndarray:
     """The (rows, n_vars) int8 sign matrix of bitsets laid out as by ``_pack``."""
-    planes = np.unpackbits(bits.astype(">u8").view(np.uint8), axis=-1)[..., :n_vars].astype(np.int8)
+    bits = bits.transpose(2, 0, 1).astype(">u8", order="C")
+    planes = np.unpackbits(bits.view(np.uint8), axis=-1)[..., :n_vars].astype(np.int8)
     return planes[:, 0] - planes[:, 1]
 
 
@@ -290,9 +308,11 @@ class PatternMatrix:
     """Largest-common-signed-pattern size for every pair of working rows.
 
     Each working row is held as two packed bitsets (see ``_pack``): P, the
-    variables it adds, and N, those it subtracts. Rows u and v share a
-    direct pattern of d = |P_u & P_v| + |N_u & N_v| terms and a negated one
-    of n = |P_u & N_v| + |N_u & P_v| terms; the entry is max(d, n), counted
+    variables it adds, and N, those it subtracts. They are stored words
+    first, ``bits[(P, N), word, row]``, so the popcount sums of ``_update``
+    run along the rows. Rows u and v share a direct pattern of
+    d = |P_u & P_v| + |N_u & N_v| terms and a negated one of
+    n = |P_u & N_v| + |N_u & P_v| terms; the entry is max(d, n), counted
     exactly by popcounts over the words in use. An extraction appends one
     variable and one row, and recomputes only the entries of the rows it
     changed. ``best`` holds the largest entry of each row, recomputed only
@@ -305,8 +325,8 @@ class PatternMatrix:
         # needed; grown by half when full. Each appended row brings at most
         # one variable, so the words cover every row the capacity allows.
         cap = self.n_rows + int(np.count_nonzero(signs)) // 8 + 1
-        self.bits = np.zeros((cap, 2, _words(self.n_vars + cap - self.n_rows)), dtype=np.uint64)
-        self.bits[: self.n_rows] = _pack(signs, self.bits.shape[2])
+        self.bits = np.zeros((2, _words(self.n_vars + cap - self.n_rows), cap), dtype=np.uint64)
+        self.bits[..., : self.n_rows] = _pack(signs, self.bits.shape[1])
         # no working row ever grows, so no entry exceeds the widest row
         self._p = np.zeros((cap, cap), dtype=np.min_scalar_type(self.n_vars))
         self._best = np.zeros(cap, dtype=self._p.dtype)
@@ -315,15 +335,15 @@ class PatternMatrix:
     def _update(self, sel: np.ndarray) -> None:
         """Recompute the entries between the given rows and every current row."""
         n, w = self.n_rows, _words(self.n_vars)
-        rows = self.bits[:n, :, :w]
-        swapped = rows[:, ::-1]
+        rows = self.bits[:, :w, None, :n]
+        swapped = rows[::-1]
         step = max(1, (1 << 20) // max(1, n * 2 * w))
         old = self._p[sel, :n]
         for lo in range(0, len(sel), step):
             part = sel[lo : lo + step]
-            a = self.bits[part, None, :, :w]
-            direct = np.bitwise_count(a & rows).sum(axis=(2, 3))
-            negated = np.bitwise_count(a & swapped).sum(axis=(2, 3))
+            a = self.bits[:, :w, part, None]
+            direct = np.bitwise_count(a & rows).sum(axis=(0, 1))
+            negated = np.bitwise_count(a & swapped).sum(axis=(0, 1))
             blk = np.maximum(direct, negated).astype(self._p.dtype)
             self._p[part, :n] = blk
             self._p[:n, part] = blk.T
@@ -361,22 +381,22 @@ class PatternMatrix:
         """
         w = _words(self.n_vars)
         r, s = self._tied(size)
-        a, b = self.bits[r, :, :w], self.bits[s, :, :w]
-        direct, negated = a & b, a & b[:, ::-1]
-        d = np.bitwise_count(direct).sum(axis=(1, 2))
-        n = np.bitwise_count(negated).sum(axis=(1, 2))
+        a, b = self.bits[:, :w, r], self.bits[:, :w, s]
+        direct, negated = a & b, a & b[::-1]
+        d = np.bitwise_count(direct).sum(axis=(0, 1))
+        n = np.bitwise_count(negated).sum(axis=(0, 1))
         if (np.maximum(d, n) != size).any():
             raise RuntimeError("pattern matrix disagrees with row contents")
-        pats = np.where((d >= n)[:, None, None], direct, negated)
-        used = pats[:, 0] | pats[:, 1]
+        pats = np.where(d >= n, direct, negated)
+        used = pats[0] | pats[1]
         # P and N are disjoint, so the one holding the first variable is the
         # larger in the first word in use
-        lead = (used != 0).argmax(axis=1)
+        lead = (used != 0).argmax(axis=0)
         k = np.arange(len(r))
-        flip = pats[k, 1, lead] > pats[k, 0, lead]
-        pats[flip] = pats[flip, ::-1]
-        order = np.lexsort(np.concatenate([pats[:, 1, ::-1], ~used[:, ::-1]], axis=1).T)
-        return pats[order[0]]
+        flip = pats[1, lead, k] > pats[0, lead, k]
+        pats[:, :, flip] = pats[::-1, :, flip]
+        order = np.lexsort(np.concatenate([pats[1, ::-1], ~used[::-1]]))
+        return pats[:, :, order[0]]
 
     def extract(self, pat: np.ndarray) -> int:
         """Replace ``pat`` by a new variable in every row holding it.
@@ -388,22 +408,22 @@ class PatternMatrix:
         n, w = self.n_rows, _words(self.n_vars)
         used = pat[0] | pat[1]
         cols = np.flatnonzero(used)
-        sub, p = self.bits[:n, :, cols], pat[:, cols]
-        direct = ((sub & p) == p).all(axis=(1, 2))
-        negated = ((sub & p[::-1]) == p[::-1]).all(axis=(1, 2))
+        sub, p = self.bits[:, cols, :n], pat[:, cols, None]
+        direct = ((sub & p) == p).all(axis=(0, 1))
+        negated = ((sub & p[::-1]) == p[::-1]).all(axis=(0, 1))
         hits = np.flatnonzero(direct | negated)
         if len(hits) < 2:
             raise RuntimeError("pattern matched fewer than two rows; invariant violated")
         if n == len(self._p):
             cap = n + n // 2 + 1
-            words = _words(self.n_vars + cap - n) - self.bits.shape[2]
-            self.bits = np.pad(self.bits, ((0, cap - n), (0, 0), (0, words)))
+            words = _words(self.n_vars + cap - n) - self.bits.shape[1]
+            self.bits = np.pad(self.bits, ((0, 0), (0, words), (0, cap - n)))
             self._p = np.pad(self._p, (0, cap - n))
             self._best = np.pad(self._best, (0, cap - n))
         word, bit = divmod(self.n_vars, 64)
-        self.bits[hits, :, :w] &= ~used
-        self.bits[hits, negated[hits].astype(np.intp), word] |= np.uint64(1 << (63 - bit))
-        self.bits[n, :, :w] = pat
+        self.bits[:, :w, hits] &= ~used[:, None]
+        self.bits[negated[hits].astype(np.intp), word, hits] |= np.uint64(1 << (63 - bit))
+        self.bits[:, :w, n] = pat
         self.n_rows += 1
         self.n_vars += 1
         self._update(np.append(hits, n))
@@ -461,12 +481,12 @@ def bu_cse(
         hits = pm.extract(pat)
         n_defs += 1
         if trace is not None:
-            row = _unpack(pat[None], var)[0]
+            row = _unpack(pat[..., None], var)[0]
             cols = np.flatnonzero(row)
             trace.append(ExtractionEvent(var, tuple(zip(cols.tolist(), row[cols].tolist())), hits))
 
     # working rows are the outputs, then definition k of variable m.cols + k
-    rows = _unpack(pm.bits[: pm.n_rows], pm.n_vars)
+    rows = _unpack(pm.bits[..., : pm.n_rows], pm.n_vars)
     order = np.array(_topo_order(rows[m.rows :, m.cols :]), dtype=np.intp)
     return CseResult(m.cols, m.cols + order, *_rows(rows[np.r_[m.rows + order, : m.rows]]))
 

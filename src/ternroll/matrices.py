@@ -24,6 +24,22 @@ def _ascii_digits(tok: str) -> bool:
     return tok.isascii() and tok.isdigit()
 
 
+def read_ascii(path: str, error: type[ValueError] = ValueError) -> str:
+    """The text of an ASCII file, newlines translated as text mode does.
+
+    A byte that is not ASCII raises ``error`` naming the path and the byte's
+    line and column, both counted from 1.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as e:
+        line, col = data.count(b"\n", 0, e.start) + 1, e.start - data.rfind(b"\n", 0, e.start)
+        raise error(f"{path}: line {line}, column {col}: byte 0x{data[e.start]:02x} is not ASCII") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _dimensions(lines: list[str], tag: str) -> tuple[int, int]:
     """Rows and columns from a ``<tag> <rows> <cols>`` header of ASCII digits."""
     if not lines:
@@ -248,10 +264,8 @@ def parse_fmx(text: str) -> FloatMatrix:
 
 
 def load_tmx(path: str) -> TernaryMatrix:
-    with open(path, "r", encoding="ascii") as f:
-        return parse_tmx(f.read())
+    return parse_tmx(read_ascii(path, MatrixFormatError))
 
 
 def load_fmx(path: str) -> FloatMatrix:
-    with open(path, "r", encoding="ascii") as f:
-        return parse_fmx(f.read())
+    return parse_fmx(read_ascii(path, MatrixFormatError))

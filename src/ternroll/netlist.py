@@ -22,7 +22,7 @@ from array import array
 
 import numpy as np
 
-from .matrices import _ascii_digits
+from .matrices import _ascii_digits, read_ascii
 from .treegen import IN, KINDS, OUT, AdderGraph, GraphValidationError
 
 
@@ -304,5 +304,4 @@ def _decimal(a: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def load(path: str) -> AdderGraph:
-    with open(path, "r", encoding="ascii") as f:
-        return parse(f.read())
+    return parse(read_ascii(path, NetlistParseError))

@@ -8,6 +8,7 @@ which is 524,288, so the printed total is short by 60. See the project notes
 for the analysis; the arithmetic here is not bent to match the misprint.
 """
 
+import functools
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -107,12 +108,19 @@ def _shape_plan(rng):
     return shapes
 
 
+@functools.lru_cache(maxsize=1)
 def _exhaustive_chunks(cols, chunk=1 << 16):
+    """All 3**cols trit vectors as columns, in read-only chunks; kept for the
+    last column count, since each matrix's twelve graphs read the same ones."""
     n = 3**cols
     digits = 3 ** np.arange(cols, dtype=np.int64)
+    chunks = []
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n), dtype=np.int64)
-        yield ((idx[:, None] // digits[None, :]) % 3 - 1).T
+        xs = ((idx[:, None] // digits[None, :]) % 3 - 1).T
+        xs.flags.writeable = False
+        chunks.append(xs)
+    return tuple(chunks)
 
 
 def test_c03_equivalence_suite():

@@ -518,6 +518,25 @@ def test_unusable_path_exits_2_with_one_line(tmp_path, capsys, rng, case):
     assert sorted(str(p) for p in tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize(
+    "ext, text, where, command",
+    [
+        ("tmx", "tmx 2 3\n+0-\n0\u00e9+\n", "line 3, column 2", ["cse", "--method", "td"]),
+        ("fmx", "fmx 1 2\n0.5 \u00e9\n", "line 2, column 5", ["ternarize", "--eps", "0.7"]),
+        ("ngl", "ngl inputs 1 outputs 1 nodes 2 digits 1 total 16 aligned 1\n"
+                "node 0 in 0 16\nnode 1 out 0 16 +0 \u00e9\n", "line 3, column 20", ["stats"]),
+        ("cse", "out 0 = +x0 \u00e9\n", "line 1, column 13", ["tree"]),
+    ],
+)
+def test_non_ascii_byte_exits_2_naming_its_line_and_column(tmp_path, capsys, ext, text, where, command):
+    path = tmp_path / f"bad.{ext}"
+    path.write_text(text, encoding="utf-8")
+    out = [] if command == ["stats"] else [str(tmp_path / "out")]
+    assert main([*command, str(path), *out]) == 2
+    assert capsys.readouterr().err == f"ternroll: {path}: {where}: byte 0xc3 is not ASCII\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_image_of_other_fraction_bits_exits_2(tmp_path, capsys, rng):
     net_path, wdir, img_path = _tiny_network_files(tmp_path, rng)
     text = Path(img_path).read_text().split("\n", 1)

@@ -1,11 +1,13 @@
 """The ``td`` and ``bu`` engines against the independent reference in ``cse_ref``.
 
 Every run compares the ``.cse`` text, the stats and the extraction trace.
-The corpus is 310 seeded matrices, each run by both methods with and
-without ``max_extractions=3``: 1,240 engine runs. The many-row part makes
-``td`` count in int16 and key in uint32; the wide part gives ``bu`` uint16
-entries and bitsets of several words; the growth part makes both engines
-grow past their first capacity.
+The corpus is 318 seeded matrices, each run by both methods with and
+without ``max_extractions=3``: 1,272 engine runs. The many-row part gives
+``td`` row bitsets of four and five words and uint32 keys; the word-edge
+part puts the row count on each side of a 64-row word boundary, and in one
+matrix every repeated pair first occurs in the second word; the wide part
+gives ``bu`` uint16 entries and bitsets of several words; the growth part
+makes both engines grow past their first capacity.
 """
 
 import numpy as np
@@ -31,9 +33,20 @@ def _shapes(shapes, seed):
     return [random_ternary(rows, cols, zeros, rng) for rows, cols, zeros in shapes]
 
 
+def _word_edges():
+    rng = np.random.default_rng(2607)
+    out = [random_ternary(rows, int(rng.integers(3, 7)), 0.4, rng) for rows in (63, 64, 65, 127, 128, 129, 320)]
+    # one term in each of the first 64 rows, so every pair first occurs in the second word
+    late = random_ternary(128, 5, 0.3, rng).entries.copy()
+    late[:64] = 0
+    late[np.arange(64), np.arange(64) % 5] = 1
+    return out + [TernaryMatrix(late)]
+
+
 CORPUS = {
     "small_300": _small,
     "many_rows": lambda: _shapes([(256, 4, 0.3), (260, 6, 0.5), (300, 5, 0.4), (280, 8, 0.7)], 2605),
+    "word_edges": _word_edges,
     "wide": lambda: _shapes([(2, 256, 0.5), (4, 260, 0.7), (5, 300, 0.75), (8, 256, 0.8)], 2606),
     "growth": lambda: [
         TernaryMatrix(np.array([[1] * 9, [-1] * 9], dtype=np.int8)),

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,15 @@ from ternroll.network import (
     NetworkFormatError,
     NetworkSpec,
     ScaleShiftParams,
+    load_network,
     parse_network,
     parse_scale_shift,
     vgg7_cifar10,
 )
 
 from .writers import format_network
+
+VGG7_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "vgg7_cifar10.json"
 
 
 def small_net_obj():
@@ -142,6 +146,10 @@ def test_vgg7_shape():
 def test_vgg7_round_trips_through_json():
     net = vgg7_cifar10()
     assert parse_network(format_network(net)) == net
+
+
+def test_vgg7_builder_equals_the_shipped_config():
+    assert vgg7_cifar10() == load_network(str(VGG7_CONFIG))
 
 
 @pytest.mark.parametrize("clock", [float("inf"), float("nan"), 1e-300, 0.5, 0.0, -1e8])
