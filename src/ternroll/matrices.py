@@ -35,9 +35,17 @@ def read_ascii(path: str, error: type[ValueError] = ValueError) -> str:
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as e:
-        line, col = data.count(b"\n", 0, e.start) + 1, e.start - data.rfind(b"\n", 0, e.start)
-        raise error(f"{path}: line {line}, column {col}: byte 0x{data[e.start]:02x} is not ASCII") from None
+        raise error(not_ascii(data, e.start, path)) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def not_ascii(data: bytes, at: int, path: str | None = None) -> str:
+    """The message for the byte at offset ``at`` of ``data``, which is not
+    ASCII: its line and column, both counted from 1, after the path when
+    given."""
+    line, col = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
+    where = "" if path is None else f"{path}: "
+    return f"{where}line {line}, column {col}: byte 0x{data[at]:02x} is not ASCII"
 
 
 def _dimensions(lines: list[str], tag: str) -> tuple[int, int]:
@@ -60,7 +68,9 @@ class FrozenArrays:
 
     ``ARRAYS`` maps each array field to its dtype. An array given read-only,
     of that dtype and owning its data is kept as it is; anything else is
-    copied into one the caller cannot write to.
+    copied into one the caller cannot write to. A value that the cast to
+    the dtype would change (wrap, round or truncate) is refused with a
+    ValueError.
     """
 
     ARRAYS: ClassVar[dict[str, type]] = {}
@@ -69,7 +79,20 @@ class FrozenArrays:
         for field, dtype in self.ARRAYS.items():
             a = getattr(self, field)
             if not (isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable and a.base is None):
-                a = np.array(a, dtype=dtype)
+                given = np.asarray(a)
+                try:
+                    with np.errstate(invalid="ignore"):
+                        a = given.astype(dtype)
+                    # comparing in the promoted type catches a wrap, casting
+                    # back catches a rounding: an int past float64's 53 bits
+                    # compares equal to its rounded float
+                    changed = given.dtype != dtype and not (
+                        np.array_equal(a, given) and np.array_equal(a.astype(given.dtype), given)
+                    )
+                except OverflowError:  # a Python int past int64
+                    changed = True
+                if changed:
+                    raise ValueError(f"{type(self).__name__} {field}: a value changes when cast to {np.dtype(dtype)}")
                 a.flags.writeable = False
             object.__setattr__(self, field, a)
 
@@ -96,7 +119,8 @@ class TernaryMatrix(FrozenArrays):
         super().__post_init__()
         if self.entries.ndim != 2 or 0 in self.entries.shape:
             raise ValueError(f"ternary matrix must be 2-D and non-empty, got shape {self.entries.shape}")
-        if not np.isin(self.entries, (-1, 0, 1)).all():
+        # -1, 0 and 1 are the bytes 255, 0 and 1, which one more takes to 0, 1 and 2
+        if (self.entries.view(np.uint8) + np.uint8(1)).max() > 2:
             raise ValueError("ternary matrix entries must be -1, 0 or +1")
 
     @property
@@ -177,10 +201,51 @@ class TernaryMatrix(FrozenArrays):
             f"{self.rows}x{self.cols} product with |x| up to {peak} can reach {bound}, past int64"
         )
 
+    @cached_property
+    def _transpose32(self) -> np.ndarray:
+        """entries.T in float32, read-only: built on the first float
+        product and kept, 4 bytes a weight."""
+        t = self.entries.T.astype(np.float32)
+        t.flags.writeable = False
+        return t
+
+    @cached_property
+    def _digit_bits(self) -> int:
+        """The largest d with (most nonzeros in a row) * (2^d - 1) < 2^24:
+        a row's sums over digits below 2^d are exact in float32."""
+        return (((1 << 24) - 1) // self._fullest + 1).bit_length() - 1
+
     def product(self, x: np.ndarray) -> np.ndarray:
         """x @ entries.T for an (n, cols) or (cols,) x of product_dtype,
-        computed and returned in that type (BLAS for the floats)."""
-        return x @ self.entries.T.astype(x.dtype)
+        exact and returned in that type.
+
+        float32 multiplies by the kept float32 transpose. float64 splits x
+        into base-2^d digits of x's sign (see ``_digit_bits``), makes one
+        float32 product of them all with the same transpose, and combines
+        the digits' sums in float64 from the top digit down: each partial
+        result is the product of x truncated to its top digits, so it stays
+        within the bound that made x's type float64. int64 casts the
+        entries on each call.
+        """
+        if x.dtype == np.float32:
+            return x @ self._transpose32
+        bits = self._digit_bits
+        if x.dtype != np.float64 or bits == 0:  # bits = 0 only past 2^24 nonzeros in a row
+            return x @ self.entries.T.astype(x.dtype)
+        count = max(1, -(-peak(x).bit_length() // bits))
+        digits = np.empty((count, *x.shape), np.float32)  # top digit first
+        rest = x
+        for k in range(count - 1, 0, -1):
+            top = np.trunc(rest * 2.0**-bits)
+            digits[k] = rest - top * 2.0**bits
+            rest = top
+        digits[0] = rest
+        sums = (digits.reshape(-1, self.cols) @ self._transpose32).reshape(count, *x.shape[:-1], self.rows)
+        out = sums[0].astype(np.float64)
+        for part in sums[1:]:
+            out *= 2.0**bits
+            out += part
+        return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Exact integer product entries @ x for an int64 x of shape (cols,)

@@ -30,7 +30,7 @@ from .fixedpoint import (
     saturate,
     shift_right_round,
 )
-from .matrices import FrozenArrays, TernaryMatrix, _ascii_digits
+from .matrices import FrozenArrays, TernaryMatrix, _ascii_digits, not_ascii
 from .network import LayerSpec, NetworkSpec, ScaleShiftParams
 
 
@@ -135,19 +135,24 @@ class _ScaleShift:
     def check(self, x_peak: int) -> type:
         """The type in which inputs of magnitude at most ``x_peak`` compute
         exactly, from the largest |c*x| plus the rounding half, and the
-        rounded quotient plus |b|, in Python ints: float64 below 2^53, int64
-        below 2^63. Past int64: ValueError."""
+        rounded quotient plus |b|, in Python ints: float32 below 2^24,
+        float64 below 2^53, int64 below 2^63. Past int64: ValueError.
+
+        Below a type's bound every step is exact in it: the product is an
+        integer inside the bound, the sign step, the rounding half and the
+        shift by 2^-f are exact, and the quotient plus |b| stays inside it.
+        """
         fmt = self.scale_fmt
         rounded = x_peak * self.c_peak + (fmt.scale >> 1)
         bound = max(rounded, (rounded >> fmt.frac_bits) + self.b_peak)
         if bound >= 1 << 63:
             raise ValueError(f"scale-shift by {fmt} constants and {self.act_fmt} shifts overflows int64")
-        return np.float64 if bound < 1 << 53 else np.int64
+        return next(t for t, bits in ((np.float32, 24), (np.float64, 53), (np.int64, 63)) if bound < 1 << bits)
 
     def __call__(self, x: np.ndarray, act: str, counter: SaturationCounter | None, dtype: type) -> np.ndarray:
         """The outputs for integer-valued ``x``, computed and returned in the
         ``dtype`` that ``check`` chose for its peak; every cast is of exact
-        integers (a constant that float64 rounds meets only x = 0).
+        integers (a constant that the float type rounds meets only x = 0).
 
         The product array is rounded, shifted and offset in place, the
         values past the act format are counted on both sides, and one
@@ -161,8 +166,8 @@ class _ScaleShift:
         y = shift_right_round(y, self.scale_fmt.frac_bits, out=y)
         y += b
         fmt = self.act_fmt
-        # exact in int64; in float64 |y| < 2^53, so a raw_max that float64
-        # rounds up is past every y and is never reached
+        # exact in int64; in a float type |y| is below the bound ``check``
+        # gave it, so a raw_max that the type rounds up is past every y
         if counter is not None:
             counter.hit(int(np.count_nonzero(y > fmt.raw_max)) + int(np.count_nonzero(y < fmt.raw_min)))
         return np.clip(y, 0 if act == "ReLU" else fmt.raw_min, fmt.raw_max, out=y)
@@ -203,9 +208,9 @@ class SimulationResult:
 
 
 def _steps(net: NetworkSpec, weights: dict, image_peak: int) -> list:
-    """Each layer's TernaryMatrix or quantized ScaleShift and the type its
-    bound proves exact (None, None for the rest), after checking the weights
-    against the layers and bounding every sum and product in Python ints.
+    """Each layer's TernaryMatrix or quantized ScaleShift (None for the
+    rest), after checking the weights against the layers and bounding every
+    sum and product in Python ints.
 
     A stream the network saturated is at most A = 2^(act bits - 1) in
     magnitude. The first weighted layer reads the image, at most
@@ -218,7 +223,7 @@ def _steps(net: NetworkSpec, weights: dict, image_peak: int) -> list:
     x_peak = image_peak  # max|x| of the stream entering the layer
     steps = []
     for idx, layer in enumerate(net.layers):
-        kind, w, step, dtype = layer.kind, weights.get(idx), None, None
+        kind, w, step = layer.kind, weights.get(idx), None
         if kind in ("Conv", "Dense"):
             if not isinstance(w, TernaryMatrix):
                 raise ValueError(f"layer {idx}: {kind} needs a TernaryMatrix weight")
@@ -237,7 +242,7 @@ def _steps(net: NetworkSpec, weights: dict, image_peak: int) -> list:
             check, what = step.check, ""
         if step is not None:
             try:
-                dtype = check(x_peak)
+                check(x_peak)
             except ValueError as e:
                 raise ValueError(f"layer {idx}: {what}{e}") from e
             following = net.layers[idx + 1].kind if idx + 1 < len(net.layers) else None
@@ -245,7 +250,7 @@ def _steps(net: NetworkSpec, weights: dict, image_peak: int) -> list:
                 x_peak = max(full, x_peak) * step._fullest
             else:
                 x_peak = full
-        steps.append((step, dtype))
+        steps.append(step)
     return steps
 
 
@@ -282,7 +287,7 @@ def simulate(
     counter = SaturationCounter()
     x = img.data  # (H, W, C) before the flattening Mux, a vector after it
     for idx, layer in enumerate(net.layers):
-        kind, (step, dtype) = layer.kind, steps[idx]
+        kind, step = layer.kind, steps[idx]
         if kind in ("Conv", "Dense"):
             # max|x| of a Conv's map bounds its patches: padding adds zeros
             x = x.astype(step.product_dtype(x), copy=False)
@@ -294,7 +299,8 @@ def simulate(
             if following != "ScaleShift":
                 x = saturate(x, act, counter)
         elif kind == "ScaleShift":
-            x = step(x, layer.activation, counter, dtype).astype(held, copy=False)
+            # the sums' own peak, at most the bound _steps checked, picks the type
+            x = step(x, layer.activation, counter, step.check(peak(x))).astype(held, copy=False)
         elif kind == "MaxPool":
             x = _pool(x, layer.kernel, layer.stride)
         elif kind == "Mux":
@@ -455,10 +461,12 @@ def op_count(
 RASTER_MARK = "le16"
 
 
-def parse_img(blob: bytes) -> ImageStream:
+def parse_img(blob: bytes, path: str | None = None) -> ImageStream:
     """Parse the img format: a header line ``img <W> <H> <D> <frac_bits>``,
     then ASCII raw values; or, with a sixth header field ``le16``, a raw
-    16-bit little-endian raster of exactly W*H*D samples."""
+    16-bit little-endian raster of exactly W*H*D samples. A byte of a text
+    body that is not ASCII is named by its line and column, after ``path``
+    when given."""
     nl = blob.find(b"\n")
     if nl < 0:
         raise ImageFormatError("missing img header line")
@@ -483,7 +491,7 @@ def parse_img(blob: bytes) -> ImageStream:
     try:
         tokens = body.decode("ascii").split()
     except UnicodeDecodeError as e:
-        raise ImageFormatError(f"text image body is not ASCII: {e}") from e
+        raise ImageFormatError(not_ascii(blob, nl + 1 + e.start, path)) from None
     bad = next((t for t in tokens if not _ascii_digits(t.removeprefix("-"))), None)
     if bad is not None:
         raise ImageFormatError(f"bad sample {bad!r}: expected ASCII digits with an optional leading minus")
@@ -498,4 +506,4 @@ def parse_img(blob: bytes) -> ImageStream:
 
 def load_img(path: str) -> ImageStream:
     with open(path, "rb") as f:
-        return parse_img(f.read())
+        return parse_img(f.read(), path)

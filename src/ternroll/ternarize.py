@@ -24,16 +24,25 @@ def ternarize(w: FloatMatrix, epsilon: float) -> tuple[TernaryMatrix, float]:
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     a = w.entries
-    keep = np.abs(a) >= threshold(w, epsilon)
-    t = np.where(keep, np.sign(a), 0.0).astype(np.int8)
-    survivors = np.abs(a)[keep & (np.sign(a) != 0)]
+    magnitudes = np.abs(a)
+    # sign(w) where |w| >= delta: +1 where w >= delta, -1 where w <= -delta,
+    # and at delta = 0 a zero weight passes both tests, so 1 - 1 = 0
+    delta = _delta(magnitudes, epsilon)
+    t = (a >= delta).view(np.int8) - (a <= -delta).view(np.int8)
+    t.flags.writeable = False
+    survivors = magnitudes[t != 0]
     s = float(survivors.mean()) if survivors.size else 0.0
     return TernaryMatrix(t), s
 
 
 def threshold(w: FloatMatrix, epsilon: float) -> float:
     """The ternarization threshold delta = epsilon * E(|w|)."""
-    return epsilon * float(np.abs(w.entries).mean())
+    return _delta(np.abs(w.entries), epsilon)
+
+
+def _delta(magnitudes: np.ndarray, epsilon: float) -> float:
+    """delta = epsilon * E(|w|) from the magnitudes |w|."""
+    return epsilon * float(magnitudes.mean())
 
 
 def sparsity_sweep(w: FloatMatrix, eps_list: Sequence[float]) -> list[tuple[float, float]]:

@@ -537,6 +537,16 @@ def test_non_ascii_byte_exits_2_naming_its_line_and_column(tmp_path, capsys, ext
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_non_ascii_image_exits_2_naming_its_line_and_column(tmp_path, capsys, rng):
+    net_path, wdir, img_path = _tiny_network_files(tmp_path, rng)
+    head, body = Path(img_path).read_bytes().split(b"\n", 1)
+    Path(img_path).write_bytes(head + b"\n7 \xc3\xa9" + body)
+    assert main(["simulate", net_path, img_path, "--weights", str(wdir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"ternroll: {img_path}: line 2, column 3: byte 0xc3 is not ASCII\n"
+
+
 def test_simulate_image_of_other_fraction_bits_exits_2(tmp_path, capsys, rng):
     net_path, wdir, img_path = _tiny_network_files(tmp_path, rng)
     text = Path(img_path).read_text().split("\n", 1)

@@ -42,6 +42,23 @@ def test_entry_validation():
         FloatMatrix(np.array([[np.inf, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "make, value, dtype",
+    [
+        (TernaryMatrix, np.array([[257, 0]]), "int8"),  # wraps to 1
+        (TernaryMatrix, [[1.7, -1.2]], "int8"),  # truncates to 1, -1
+        (TernaryMatrix, np.array([[255, 0]], dtype=np.uint8), "int8"),  # wraps to -1
+        (TernaryMatrix, [[300, 0]], "int8"),
+        (FloatMatrix, [[(1 << 53) + 1, 0]], "float64"),  # rounds to 2^53
+        (ImageStream, [[[0.5, 2]]], "int64"),
+    ],
+    ids=["int64-257", "float-1.7", "uint8-255", "list-300", "int-2^53+1", "img-0.5"],
+)
+def test_value_types_refuse_a_cast_that_changes_a_value(make, value, dtype):
+    with pytest.raises(ValueError, match=f"a value changes when cast to {dtype}$"):
+        make(value)
+
+
 def test_immutable():
     m = TernaryMatrix(np.zeros((2, 2), dtype=np.int8))
     with pytest.raises(ValueError):
@@ -248,12 +265,24 @@ def _matvec_cases(draw):
     return TernaryMatrix(entries), np.array(x, dtype=np.int64)
 
 
+# one row of three nonzeros: a signed sum of three values
+_SUM_ROW = TernaryMatrix(np.array([[1, 1, -1, 0]]))
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=_matvec_cases())
 # a signed sum of 2^24 + 1, which float32 cannot represent
-@example(case=(TernaryMatrix(np.array([[1, 1, -1, 0]])), np.array([1 << 23, (1 << 23) + 2, 1, 5])))
+@example(case=(_SUM_ROW, np.array([1 << 23, (1 << 23) + 2, 1, 5])))
 # an all-zero matrix counts one nonzero in B, so |x| near 2^62 takes int64
 @example(case=(TernaryMatrix(np.zeros((3, 2))), np.array([[(1 << 62) - 1, 7], [-(1 << 62), (1 << 62) + 1]])))
+# float64 as two float32 digits of 22 bits, x and -x: each row's sum over
+# digits of 23 bits would be 3 (2^23 - 1), odd and past 2^24
+@example(case=(_SUM_ROW, np.array([[1, -1], [1, -1], [-1, 1], [5, -5]]) * ((1 << 23) - 1)))
+# three digits of 18 bits: 39 nonzeros times digits of 19 bits, 2^19 - 1,
+# would be odd and past 2^24
+@example(case=(TernaryMatrix(np.r_[np.ones(39), 0][None]), np.full(40, (1 << 36) + (1 << 19) - 1)))
+# a bound of 3 (2^53 - 1) // 3 = 2^53 - 2, just below 2^53: three digits
+@example(case=(_SUM_ROW, np.array([1, 1, -1, 0]) * (((1 << 53) - 1) // 3)))
 def test_matvec_equals_python_int_product_or_refuses(case):
     m, x = case
     peak = max(-int(x.min()), int(x.max()))

@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction
 
+import re
 import struct
 
 import numpy as np
@@ -515,6 +516,28 @@ def test_simulate_quantizes_the_constants_once(rng, monkeypatch):
     assert counts == [2, 2, 2, 4, 4, 4, 4, 4, 4]
 
 
+def test_simulate_converts_each_weight_matrix_once(rng, monkeypatch):
+    # 40-bit activations let the loud image take the float64 digit products
+    net = tiny_net()
+    net = NetworkSpec(net.layers, net.clock_hz, FixedPointFormat(40, 4))
+    w = tiny_weights(rng)
+    images = [ImageStream(rng.integers(-(2**a), 2**a, size=(8, 8, 1))) for a in (11, 30, 11)]
+    built = []
+    convert = TernaryMatrix._transpose32.func
+
+    def counting(m):
+        built.append(m.shape)
+        return convert(m)
+
+    monkeypatch.setattr(TernaryMatrix._transpose32, "func", counting)
+    counts = []
+    for img in images:
+        assert simulate(net, w, img).scores == _exact_tiny_scores(net, w, img)
+        counts.append(len(built))
+    # the conv and the dense weights are converted on the first image, and never again
+    assert counts == [2, 2, 2]
+
+
 def test_simulate_leaves_its_arguments_as_it_found_them(rng):
     net, w = tiny_net(), tiny_weights(rng)
     before, held = dict(vars(net)), dict(w)
@@ -569,9 +592,9 @@ def _formats(draw):
 @st.composite
 def _scale_shift_cases(draw):
     """Act and scale formats, raw constants and an int64 x whose scale-shift
-    ``check`` puts in float64: products at and beside the ties
-    +-(k + 1/2) 2^f on channels whose constant is +-1 raw, and products
-    that saturate on either side."""
+    ``check`` puts in float32 or float64: products below 2^23 or 2^51, at
+    and beside the ties +-(k + 1/2) 2^f on channels whose constant is +-1
+    raw, and products that saturate on either side."""
     total = draw(st.integers(8, 52))
     act = FixedPointFormat(total, draw(st.integers(0, min(total - 1, 16))))
     scl = draw(_formats())
@@ -580,7 +603,7 @@ def _scale_shift_cases(draw):
     exact = st.integers(max(scl.raw_min, 1 - (1 << 52)), min(scl.raw_max, (1 << 52) - 1))
     c = draw(st.lists(st.sampled_from((1, -1)) | exact, min_size=n, max_size=n))
     b = draw(st.lists(st.integers(act.raw_min, act.raw_max), min_size=n, max_size=n))
-    limit = (1 << 51) // max(1, *map(abs, c))
+    limit = draw(st.sampled_from((1 << 23, 1 << 51))) // max(1, *map(abs, c))
     f, half = scl.frac_bits, scl.scale >> 1
     ties = st.builds(
         lambda k, d, sign: sign * min((k << f) + half + d, limit),
@@ -598,13 +621,21 @@ def _scale_shift_cases(draw):
 @example(case=(ACT_FORMAT, SCALE_FORMAT, [1, -1], [0, 0], np.array([[32, 32], [-32, -96], [96, 31], [-33, 95]])))
 # below raw_min and past raw_max: under ReLU the low one counts once and gives 0
 @example(case=(ACT_FORMAT, SCALE_FORMAT, [64, 64], [0, 0], np.array([[-40000, 40000], [-32768, 32767]])))
+# |c*x| plus the rounding half of 32 is 2^24 - 1, the last bound of float32,
+# then 2^24, the first of float64
+@example(case=(ACT_FORMAT, SCALE_FORMAT, [1, -1], [0, 5], np.array([[(1 << 24) - 33, -(1 << 24) + 33]])))
+@example(case=(ACT_FORMAT, SCALE_FORMAT, [1, -1], [0, 5], np.array([[(1 << 24) - 32, -(1 << 24) + 32]])))
 def test_scale_shift_float64_and_int64_paths_agree(case):
     act, scl, c, b, x = case
     params = ScaleShiftParams(tuple(v / scl.scale for v in c), tuple(v / act.scale for v in b))
     step = pipeline._ScaleShift(params, scl, act)
     assert step.c.tolist() == c and step.b.tolist() == b
-    assert step.check(max(-int(x.min()), int(x.max()))) is np.float64
-    half = scl.scale >> 1
+    half, x_peak = scl.scale >> 1, max(-int(x.min()), int(x.max()))
+    # the three tiers of check, from the bound in Python ints
+    rounded = x_peak * max(map(abs, c)) + half
+    bound = max(rounded, (rounded >> scl.frac_bits) + max(map(abs, b)))
+    tier = next(t for t, bits in ((np.float32, 24), (np.float64, 53)) if bound < 1 << bits)
+    assert step.check(x_peak) is tier
     for relu in ("None", "ReLU"):
         # Python ints: round half away from zero, add b, count and clamp, then the ReLU
         want, hits = [], 0
@@ -615,7 +646,7 @@ def test_scale_shift_float64_and_int64_paths_agree(case):
                 hits += not act.raw_min <= y <= act.raw_max
                 y = min(max(y, act.raw_min), act.raw_max)
                 want.append(max(y, 0) if relu == "ReLU" else y)
-        for dtype in (np.int64, np.float64):
+        for dtype in (np.int64, np.float64, np.float32)[: 3 if tier is np.float32 else 2]:
             counter = SaturationCounter()
             got = step(x, relu, counter, dtype)
             assert got.dtype == dtype
@@ -866,6 +897,16 @@ def test_img_text_samples_must_fit_16_bits():
     for sample in (b"32768", b"-32769", b"99999999999999999999999"):
         with pytest.raises(ImageFormatError, match="16-bit"):
             parse_img(b"img 2 1 1 4\n0 " + sample + b"\n")
+
+
+def test_img_text_body_names_a_non_ascii_byte_by_line_and_column(tmp_path):
+    blob = b"img 2 1 1 4\n1 \xc3\xa9\n"
+    with pytest.raises(ImageFormatError, match=r"^line 2, column 3: byte 0xc3 is not ASCII$"):
+        parse_img(blob)
+    path = tmp_path / "img.txt"
+    path.write_bytes(blob)
+    with pytest.raises(ImageFormatError, match=rf"^{re.escape(str(path))}: line 2, column 3: byte 0xc3 is not ASCII$"):
+        load_img(str(path))
 
 
 @pytest.mark.parametrize("sample", [b"1_0", b"+5", b"-", b"--5", b"5-"])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ternroll.matrices import FloatMatrix
+from ternroll.matrices import FloatMatrix, TernaryMatrix
 from ternroll.ternarize import sparsity_sweep, ternarize, threshold
 
 
@@ -59,6 +60,42 @@ def test_zero_iff_below_threshold(vals, eps):
     assert np.array_equal(t.entries[nz], np.sign(w.entries[nz]).astype(np.int8))
     if nz.any() and delta > 0:
         assert s >= delta
+
+
+def _reference_ternarize(w, epsilon):
+    """ternarize in float64 from sign(w) and |w|, taken once per use."""
+    a = w.entries
+    keep = np.abs(a) >= threshold(w, epsilon)
+    t = np.where(keep, np.sign(a), 0.0).astype(np.int8)
+    survivors = np.abs(a)[keep & (np.sign(a) != 0)]
+    s = float(survivors.mean()) if survivors.size else 0.0
+    return TernaryMatrix(t), s
+
+
+@st.composite
+def _weights(draw):
+    """A weight matrix with exact zeros (of both signs) and repeated
+    magnitudes, and an epsilon that is 0, or one that puts delta on a
+    magnitude of the matrix up to rounding."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 9)))
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5]) | st.floats(-1e6, 1e6)
+    w = FloatMatrix(draw(hnp.arrays(np.float64, shape, elements=values)))
+    mean = float(np.abs(w.entries).mean())
+    at = st.sampled_from(np.abs(w.entries).reshape(-1).tolist()).map(lambda v: v / mean if mean else 0.0)
+    return w, draw(st.just(0.0) | at | st.floats(0, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_weights())
+@example(case=(FloatMatrix(np.zeros((3, 2))), 1.0))
+@example(case=(FloatMatrix(np.array([[0.0, -0.0, 1.0, -2.0]])), 0.0))
+@example(case=(FloatMatrix(np.array([[1.0, 2.0, 3.0, -2.0]])), 1.0))  # delta = 2 exactly
+def test_ternarize_equals_the_float64_sign_formula(case):
+    w, eps = case
+    t, s = ternarize(w, eps)
+    want_t, want_s = _reference_ternarize(w, eps)
+    assert t == want_t
+    assert s == want_s  # bit for bit: the same survivors, in the same order
 
 
 def test_sweep_monotone_gaussian(rng):
