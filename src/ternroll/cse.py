@@ -8,8 +8,12 @@ pair of working rows, the size of their largest common signed sub-pattern and
 repeatedly extracts the biggest one; the extracted pattern is appended to the
 working set as a fresh row so its own sub-patterns stay discoverable.
 
-Both passes are deterministic: frequency or size decides first, then the
-documented tie-breaks. Both preserve exact symbolic equivalence, which
+Both passes hold their terms as packed ``uint64`` bitsets, written and read
+by one bit codec (``_pack``, ``_unpack``), and score every pair of items,
+variables for ``td`` and working rows for ``bu``, in one pair table
+(``_PairTable``) that an extraction updates only where it changed. Both are
+deterministic: frequency or size decides first, then the documented
+tie-breaks. Both preserve exact symbolic equivalence, which
 ``find_counterexample`` proves by expanding a result's paths
 (``expand_paths``) and comparing the coefficients with the input matrix.
 """
@@ -140,6 +144,75 @@ def no_cse(m: TernaryMatrix) -> CseResult:
 
 
 # ---------------------------------------------------------------------------
+# Shared machinery: the pair table and the bit codec
+
+
+class _PairTable:
+    """A symmetric (cap, cap) table of one value per pair of items, and
+    ``best``, each row's largest value; an item's pair with itself is 0.
+
+    ``td`` scores pairs of variables in one, ``bu`` pairs of working rows.
+    An extraction changes the pairs of only a few items, so ``set``
+    rewrites only their rows and columns, and recomputes ``best`` only for
+    the rows whose largest value fell.
+    """
+
+    def __init__(self, cap: int, dtype: type) -> None:
+        self.values = np.zeros((cap, cap), dtype=dtype)
+        self.best = np.zeros(cap, dtype=dtype)
+
+    def set(self, sel: np.ndarray, new: np.ndarray) -> None:
+        """Write ``new[k]``, the values of item ``sel[k]`` with the items
+        0..n-1, into row and column ``sel[k]``, its diagonal zeroed."""
+        n = new.shape[1]
+        new[np.arange(len(sel)), sel] = 0
+        old = self.values[sel, :n]
+        self.values[sel, :n] = new
+        self.values[:n, sel] = new.T
+        # per item x, the largest value of the pairs (c, x), c in sel, before and after
+        old_max = old.max(axis=0, initial=0)
+        new_max = new.max(axis=0, initial=0)
+        best = self.best[:n]
+        stale = (old_max == best) & (new_max < old_max)
+        stale[sel] = True
+        np.maximum(best, new_max, out=best)
+        stale = np.flatnonzero(stale)
+        best[stale] = self.values[stale, :n].max(axis=1, initial=0)
+
+    def grow(self, cap: int) -> None:
+        """Enlarge the table to (cap, cap), keeping its values."""
+        n = len(self.best)
+        values = np.zeros((cap, cap), dtype=self.values.dtype)
+        values[:n, :n] = self.values
+        self.values = values
+        self.best = np.pad(self.best, (0, cap - n))
+
+
+def _words(n_bits: int) -> int:
+    return -(-n_bits // 64)
+
+
+def _pack(planes: np.ndarray, words: int, bitorder: str) -> np.ndarray:
+    """(2, words, items) uint64 bitsets of (2, items, bits) boolean planes.
+
+    With ``"little"``, bit b is bit b % 64 of word b // 64, so a set's
+    first member is the lowest set bit of its first nonzero word; with
+    ``"big"``, it is bit 63 - b % 64, so reading the words in order, most
+    significant bit first, visits the bits in order.
+    """
+    padded = np.zeros((*planes.shape[:2], 64 * words), dtype=bool)
+    padded[..., : planes.shape[2]] = planes
+    packed = np.packbits(padded, axis=-1, bitorder=bitorder).view("<u8" if bitorder == "little" else ">u8")
+    return packed.astype(np.uint64).transpose(0, 2, 1)
+
+
+def _unpack(bits: np.ndarray, n_bits: int, bitorder: str) -> np.ndarray:
+    """The (2, items, n_bits) int8 planes of bitsets laid out as by ``_pack``."""
+    raw = bits.transpose(0, 2, 1).astype("<u8" if bitorder == "little" else ">u8", order="C")
+    return np.unpackbits(raw.view(np.uint8), axis=-1, count=n_bits, bitorder=bitorder).astype(np.int8)
+
+
+# ---------------------------------------------------------------------------
 # Top-down extraction
 
 
@@ -188,51 +261,45 @@ def td_cse(
 
     Each variable's rows are two packed bitsets of w words, words first:
     P, the rows adding it, and U, the rows holding it; row r is bit r % 64
-    of word r // 64. Each orientation of a pair (u, v) has one integer key,
-    count * 64w + (64w - 1 - first row) (see ``_pair_keys``), which orders
-    by frequency, then first row; a key below 2 * 64w is a pair in fewer
-    than two rows. One symmetric plane K[u, v] holds the larger of a pair's
-    two keys, 0 on the diagonal. With best[u] = max K[u], the first argmax
-    of best is the smallest i among the winners and the first argmax of
-    K[i] the smallest j. The winner's orientation is the one its key
-    describes, read off as the relative sign of i and j in its first row:
-    the two orientations of a pair never share a row, so they never tie,
-    and this is the tie-break above. An extraction changes only the pairs
-    of i, j and the new variable, so those three rows and columns of K are
-    recomputed from the bitsets, and best only for rows whose maximum fell.
+    of word r // 64 (``_pack``'s ``"little"`` order). Each orientation of a
+    pair (u, v) has one integer key, count * 64w + (64w - 1 - first row)
+    (see ``_pair_keys``), which orders by frequency, then first row; a key
+    below 2 * 64w is a pair in fewer than two rows. A ``_PairTable`` holds
+    the larger of each pair's two keys. The first argmax of its ``best`` is
+    the smallest i among the winners and the first argmax of row i the
+    smallest j. The winner's orientation is the one its key describes, read
+    off as the relative sign of i and j in its first row: the two
+    orientations of a pair never share a row, so they never tie, and this
+    is the tie-break above. An extraction changes only the pairs of i, j
+    and the new variable, so only those three are set again.
     """
     n_rows, n_inputs = m.rows, m.cols
     n_terms = int(np.count_nonzero(m.entries))
     # each extraction removes at least two row terms
     most = n_terms // 2 if max_extractions is None else min(n_terms // 2, max_extractions)
     # room for n_terms // 4 new variables, about what measured runs needed;
-    # grown by half when full, since the key plane takes cap**2 space
+    # grown by half when full, since the key table takes cap**2 space
     cap = n_inputs + min(most, n_terms // 4 + 1)
-    words = -(-n_rows // 64)
+    words = _words(n_rows)
     span = 64 * words
     key_type = np.min_scalar_type(n_rows * span + span - 1).type
     bits = np.zeros((2, words, cap), dtype=np.uint64)  # (P, U) by word, then variable
-    planes = np.zeros((2, span, n_inputs), dtype=bool)
-    planes[:, :n_rows] = m.entries > 0, m.entries != 0
-    planes = planes.reshape(2, words, 64, n_inputs).transpose(0, 1, 3, 2)
-    bits[..., :n_inputs] = np.packbits(planes, axis=-1, bitorder="little").view("<u8")[..., 0]
-    keys = np.zeros((cap, cap), dtype=key_type)
+    bits[..., :n_inputs] = _pack(np.stack([m.entries.T > 0, m.entries.T != 0]), words, "little")
+    table = _PairTable(cap, key_type)
     step = max(1, (1 << 16) // (words * n_inputs))
     for lo in range(0, n_inputs, step):
         cols = np.arange(lo, min(lo + step, n_inputs))
-        keys[cols, :n_inputs] = _pair_keys(bits[:, :, cols, None], bits[:, :, None, :n_inputs], key_type)
-        keys[cols, cols] = 0
-    best = keys[:, :n_inputs].max(axis=1)
+        table.set(cols, _pair_keys(bits[:, :, cols, None], bits[:, :, None, :n_inputs], key_type))
 
     def_var: list[int] = []  # definition k, of variable n_inputs + k, is +x_i ±x_j with i < j
     def_sign: list[int] = []
     n = n_inputs
     while max_extractions is None or n - n_inputs < max_extractions:
-        i = int(best[:n].argmax())
-        if best[i] < 2 * span:
+        i = int(table.best[:n].argmax())
+        if table.best[i] < 2 * span:
             break
-        j = int(keys[i, :n].argmax())
-        count, rank = divmod(int(keys[i, j]), span)
+        j = int(table.values[i, :n].argmax())
+        count, rank = divmod(int(table.values[i, j]), span)
         # the winner's orientation is the relative sign of i and j in its first row
         word, bit = divmod(span - 1 - rank, 64)
         differ = bits[0, :, i] ^ bits[0, :, j]
@@ -241,10 +308,7 @@ def td_cse(
         if n == cap:
             cap = min(n_inputs + most, cap + (cap - n_inputs) // 2 + 1)
             bits = np.pad(bits, ((0, 0), (0, 0), (0, cap - n)))
-            best = np.pad(best, (0, cap - n))
-            grown = np.zeros((cap, cap), dtype=key_type)
-            grown[:n, :n] = keys
-            keys = grown
+            table.grow(cap)
         bits[:, :, n] = bits[:, :, i] & occ
         keep = ~occ
         bits[:, :, i] &= keep
@@ -255,23 +319,10 @@ def td_cse(
             trace.append(ExtractionEvent(n, ((i, 1), (j, rel)), count))
         n += 1
         cols = np.array([i, j, n - 1])
-        old = keys[cols, :n]
-        new = _pair_keys(bits[:, :, cols, None], bits[:, :, None, :n], key_type)
-        new[[0, 1, 2], cols] = 0
-        keys[cols, :n] = new
-        keys[:n, cols] = new.T
-        # per variable v, the largest key among the pairs (c, v) before and after
-        old_max = old.max(axis=0)
-        new_max = new.max(axis=0)
-        stale = (old_max == best[:n]) & (new_max < old_max)
-        stale[cols] = True
-        np.maximum(best[:n], new_max, out=best[:n])
-        stale = np.flatnonzero(stale)
-        best[stale] = keys[stale, :n].max(axis=1)
+        table.set(cols, _pair_keys(bits[:, :, cols, None], bits[:, :, None, :n], key_type))
 
-    held = bits[..., :n].transpose(0, 2, 1).astype("<u8", order="C").view(np.uint8)
-    held = np.unpackbits(held, axis=-1, bitorder="little")[..., :n_rows].transpose(0, 2, 1).astype(np.int8)
-    start, var, sign = _rows(2 * held[0] - held[1])
+    plus, held = _unpack(bits[..., :n], n_rows, "little")
+    start, var, sign = _rows((2 * plus - held).T)
     k = n - n_inputs
     start = np.r_[0 : 2 * k : 2, start + 2 * k]
     return CseResult(n_inputs, np.arange(n_inputs, n), start, np.r_[def_var, var], np.r_[def_sign, sign])
@@ -279,155 +330,6 @@ def td_cse(
 
 # ---------------------------------------------------------------------------
 # Bottom-up extraction
-
-
-def _pack(signs: np.ndarray, words: int) -> np.ndarray:
-    """(2, words, rows) uint64 bitsets of the + and the - terms of each row.
-
-    Variable v is bit 63 - v % 64 of word v // 64, so reading a row's words
-    in order, most significant bit first, visits its variables in order.
-    """
-    planes = np.zeros((signs.shape[0], 2, 64 * words), dtype=bool)
-    planes[:, 0, : signs.shape[1]] = signs > 0
-    planes[:, 1, : signs.shape[1]] = signs < 0
-    return np.packbits(planes, axis=-1).view(">u8").astype(np.uint64).transpose(1, 2, 0)
-
-
-def _unpack(bits: np.ndarray, n_vars: int) -> np.ndarray:
-    """The (rows, n_vars) int8 sign matrix of bitsets laid out as by ``_pack``."""
-    bits = bits.transpose(2, 0, 1).astype(">u8", order="C")
-    planes = np.unpackbits(bits.view(np.uint8), axis=-1)[..., :n_vars].astype(np.int8)
-    return planes[:, 0] - planes[:, 1]
-
-
-def _words(n_vars: int) -> int:
-    return -(-n_vars // 64)
-
-
-class PatternMatrix:
-    """Largest-common-signed-pattern size for every pair of working rows.
-
-    Each working row is held as two packed bitsets (see ``_pack``): P, the
-    variables it adds, and N, those it subtracts. They are stored words
-    first, ``bits[(P, N), word, row]``, so the popcount sums of ``_update``
-    run along the rows. Rows u and v share a direct pattern of
-    d = |P_u & P_v| + |N_u & N_v| terms and a negated one of
-    n = |P_u & N_v| + |N_u & P_v| terms; the entry is max(d, n), counted
-    exactly by popcounts over the words in use. An extraction appends one
-    variable and one row, and recomputes only the entries of the rows it
-    changed. ``best`` holds the largest entry of each row, recomputed only
-    for rows whose largest entry fell.
-    """
-
-    def __init__(self, signs: np.ndarray) -> None:
-        self.n_rows, self.n_vars = signs.shape
-        # room for one appended row per 8 terms, about what measured runs
-        # needed; grown by half when full. Each appended row brings at most
-        # one variable, so the words cover every row the capacity allows.
-        cap = self.n_rows + int(np.count_nonzero(signs)) // 8 + 1
-        self.bits = np.zeros((2, _words(self.n_vars + cap - self.n_rows), cap), dtype=np.uint64)
-        self.bits[..., : self.n_rows] = _pack(signs, self.bits.shape[1])
-        # no working row ever grows, so no entry exceeds the widest row
-        self._p = np.zeros((cap, cap), dtype=np.min_scalar_type(self.n_vars))
-        self._best = np.zeros(cap, dtype=self._p.dtype)
-        self._update(np.arange(self.n_rows))
-
-    def _update(self, sel: np.ndarray) -> None:
-        """Recompute the entries between the given rows and every current row."""
-        n, w = self.n_rows, _words(self.n_vars)
-        rows = self.bits[:, :w, None, :n]
-        swapped = rows[::-1]
-        step = max(1, (1 << 20) // max(1, n * 2 * w))
-        old = self._p[sel, :n]
-        for lo in range(0, len(sel), step):
-            part = sel[lo : lo + step]
-            a = self.bits[:, :w, part, None]
-            direct = np.bitwise_count(a & rows).sum(axis=(0, 1))
-            negated = np.bitwise_count(a & swapped).sum(axis=(0, 1))
-            blk = np.maximum(direct, negated).astype(self._p.dtype)
-            self._p[part, :n] = blk
-            self._p[:n, part] = blk.T
-        self._p[sel, sel] = 0
-        # per row x, the largest entry (c, x) over the rows c in sel, before and after
-        old_max = old.max(axis=0, initial=0)
-        new_max = self._p[sel, :n].max(axis=0, initial=0)
-        best = self._best[:n]
-        stale = (old_max == best) & (new_max < old_max)
-        stale[sel] = True
-        np.maximum(best, new_max, out=best)
-        stale = np.flatnonzero(stale)
-        best[stale] = self._p[stale, :n].max(axis=1, initial=0)
-
-    def max_entry(self) -> int:
-        return int(self._best[: self.n_rows].max(initial=0))
-
-    def _tied(self, value: int) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n_rows
-        rows = np.flatnonzero(self._best[:n] == value)
-        i, s = np.nonzero(self._p[rows, :n] == value)
-        r = rows[i]
-        upper = r < s
-        return r[upper], s[upper]
-
-    def best_pattern(self, size: int) -> np.ndarray:
-        """The (2, words) bitsets of the pattern to extract among entries ``size``.
-
-        Each tied pair (r, s), r < s, offers its larger orientation (the
-        direct one on equal size), signed as in row r, then negated if its
-        smallest variable is subtracted. All patterns have ``size`` terms,
-        so the smallest sorted variable tuple is the largest P|N mask read
-        word by word; then the smallest sign tuple, + before -, is the
-        smallest N mask; and a stable sort keeps (r, s) in row order.
-        """
-        w = _words(self.n_vars)
-        r, s = self._tied(size)
-        a, b = self.bits[:, :w, r], self.bits[:, :w, s]
-        direct, negated = a & b, a & b[::-1]
-        d = np.bitwise_count(direct).sum(axis=(0, 1))
-        n = np.bitwise_count(negated).sum(axis=(0, 1))
-        if (np.maximum(d, n) != size).any():
-            raise RuntimeError("pattern matrix disagrees with row contents")
-        pats = np.where(d >= n, direct, negated)
-        used = pats[0] | pats[1]
-        # P and N are disjoint, so the one holding the first variable is the
-        # larger in the first word in use
-        lead = (used != 0).argmax(axis=0)
-        k = np.arange(len(r))
-        flip = pats[1, lead, k] > pats[0, lead, k]
-        pats[:, :, flip] = pats[::-1, :, flip]
-        order = np.lexsort(np.concatenate([pats[1, ::-1], ~used[::-1]]))
-        return pats[:, :, order[0]]
-
-    def extract(self, pat: np.ndarray) -> int:
-        """Replace ``pat`` by a new variable in every row holding it.
-
-        Rows holding the negated pattern get the variable subtracted. The
-        pattern is then appended as a row; returns the number of rows
-        rewritten.
-        """
-        n, w = self.n_rows, _words(self.n_vars)
-        used = pat[0] | pat[1]
-        cols = np.flatnonzero(used)
-        sub, p = self.bits[:, cols, :n], pat[:, cols, None]
-        direct = ((sub & p) == p).all(axis=(0, 1))
-        negated = ((sub & p[::-1]) == p[::-1]).all(axis=(0, 1))
-        hits = np.flatnonzero(direct | negated)
-        if len(hits) < 2:
-            raise RuntimeError("pattern matched fewer than two rows; invariant violated")
-        if n == len(self._p):
-            cap = n + n // 2 + 1
-            words = _words(self.n_vars + cap - n) - self.bits.shape[1]
-            self.bits = np.pad(self.bits, ((0, 0), (0, words), (0, cap - n)))
-            self._p = np.pad(self._p, (0, cap - n))
-            self._best = np.pad(self._best, (0, cap - n))
-        word, bit = divmod(self.n_vars, 64)
-        self.bits[:, :w, hits] &= ~used[:, None]
-        self.bits[negated[hits].astype(np.intp), word, hits] |= np.uint64(1 << (63 - bit))
-        self.bits[:, :w, n] = pat
-        self.n_rows += 1
-        self.n_vars += 1
-        self._update(np.append(hits, n))
-        return len(hits)
 
 
 def _topo_order(defs: np.ndarray) -> list[int]:
@@ -459,34 +361,105 @@ def bu_cse(
     max_extractions: int | None = None,
     trace: list[ExtractionEvent] | None = None,
 ) -> CseResult:
-    """Largest-common-pattern extraction driven by the pattern matrix.
+    """Largest-common-pattern extraction over the pairs of working rows.
 
-    Each step takes the largest entry (at least two matching terms), rewrites
-    every working row containing that pattern in either orientation, and
-    appends the pattern itself as a new working row. A tied row pair's
-    pattern is its larger orientation (the direct one on equal size),
-    signed so that its smallest variable is added. Ties go to the smallest
-    sorted variable tuple, then the smallest sign tuple with + before -,
-    then the first row pair (r, s) in row order. Stops when the largest
-    entry is at most one.
+    Each step takes the largest pattern size (at least two matching terms),
+    rewrites every working row containing that pattern in either
+    orientation, and appends the pattern itself as a new working row. A
+    tied row pair's pattern is its larger orientation (the direct one on
+    equal size), signed so that its smallest variable is added. Ties go to
+    the smallest sorted variable tuple, then the smallest sign tuple with +
+    before -, then the first row pair (r, s) in row order. Stops when the
+    largest size is at most one.
+
+    Each working row is two packed bitsets, words first: P, the variables
+    it adds, and N, those it subtracts; variable v is bit 63 - v % 64 of
+    word v // 64 (``_pack``'s ``"big"`` order). Rows u and v share a direct
+    pattern of d = |P_u & P_v| + |N_u & N_v| terms and a negated one of
+    n = |P_u & N_v| + |N_u & P_v| terms; a ``_PairTable`` holds max(d, n),
+    counted exactly by popcounts over the words in use, and each extraction
+    sets again only the rows it rewrote and the appended one.
     """
-    pm = PatternMatrix(m.entries)
-    n_defs = 0
-    while max_extractions is None or n_defs < max_extractions:
-        size = pm.max_entry()
-        if size <= 1:
+    n, n_vars = m.rows, m.cols  # working rows, variables
+    # room for one appended row per 8 terms, about what measured runs
+    # needed; grown by half when full. Each appended row brings at most
+    # one variable, so the words cover every row the capacity allows.
+    cap = n + int(np.count_nonzero(m.entries)) // 8 + 1
+    bits = np.zeros((2, _words(n_vars + cap - n), cap), dtype=np.uint64)  # (P, N) by word, then row
+    bits[..., :n] = _pack(np.stack([m.entries > 0, m.entries < 0]), bits.shape[1], "big")
+    # no working row ever grows, so no size exceeds the widest row
+    table = _PairTable(cap, np.min_scalar_type(n_vars))
+    sel = np.arange(n)  # the rows to set
+    while True:
+        w = _words(n_vars)
+        rows = bits[:, :w, None, :n]
+        step = max(1, (1 << 20) // (n * 2 * w))
+        for lo in range(0, len(sel), step):
+            part = sel[lo : lo + step]
+            a = bits[:, :w, part, None]
+            direct = np.bitwise_count(a & rows).sum(axis=(0, 1))
+            negated = np.bitwise_count(a & rows[::-1]).sum(axis=(0, 1))
+            table.set(part, np.maximum(direct, negated).astype(table.values.dtype))
+        size = int(table.best[:n].max())
+        if size <= 1 or max_extractions is not None and n - m.rows >= max_extractions:
             break
-        pat = pm.best_pattern(size)
-        var = pm.n_vars
-        hits = pm.extract(pat)
-        n_defs += 1
+
+        # Each tied pair (r, s), r < s, offers its larger orientation (the
+        # direct one on equal size), signed as in row r, then negated if its
+        # smallest variable is subtracted. All patterns have ``size`` terms,
+        # so the smallest sorted variable tuple is the largest P|N mask read
+        # word by word; then the smallest sign tuple, + before -, is the
+        # smallest N mask; and a stable sort keeps (r, s) in row order.
+        tied = np.flatnonzero(table.best[:n] == size)
+        t, s = np.nonzero(table.values[tied, :n] == size)
+        r = tied[t]
+        r, s = r[r < s], s[r < s]
+        a, b = bits[:, :w, r], bits[:, :w, s]
+        direct, negated = a & b, a & b[::-1]
+        d = np.bitwise_count(direct).sum(axis=(0, 1))
+        neg = np.bitwise_count(negated).sum(axis=(0, 1))
+        if (np.maximum(d, neg) != size).any():
+            raise RuntimeError("pattern table disagrees with row contents")
+        pats = np.where(d >= neg, direct, negated)
+        used = pats[0] | pats[1]
+        # P and N are disjoint, so the one holding the first variable is the
+        # larger in the first word in use
+        lead = (used != 0).argmax(axis=0)
+        k = np.arange(len(r))
+        flip = pats[1, lead, k] > pats[0, lead, k]
+        pats[:, :, flip] = pats[::-1, :, flip]
+        pat = pats[:, :, np.lexsort(np.concatenate([pats[1, ::-1], ~used[::-1]]))[0]]
+
+        # replace the pattern by a new variable in every row holding it,
+        # subtracted where it is negated, then append it as a row
+        used = pat[0] | pat[1]
+        cols = np.flatnonzero(used)
+        sub, p = bits[:, cols, :n], pat[:, cols, None]
+        has = ((sub & p) == p).all(axis=(0, 1))
+        has_neg = ((sub & p[::-1]) == p[::-1]).all(axis=(0, 1))
+        hits = np.flatnonzero(has | has_neg)
+        if len(hits) < 2:
+            raise RuntimeError("pattern matched fewer than two rows; invariant violated")
+        if n == cap:
+            cap = n + n // 2 + 1
+            bits = np.pad(bits, ((0, 0), (0, _words(n_vars + cap - n) - bits.shape[1]), (0, cap - n)))
+            table.grow(cap)
+        word, bit = divmod(n_vars, 64)
+        bits[:, :w, hits] &= ~used[:, None]
+        bits[has_neg[hits].astype(np.intp), word, hits] |= np.uint64(1 << (63 - bit))
+        bits[:, :w, n] = pat
         if trace is not None:
-            row = _unpack(pat[..., None], var)[0]
-            cols = np.flatnonzero(row)
-            trace.append(ExtractionEvent(var, tuple(zip(cols.tolist(), row[cols].tolist())), hits))
+            plus, minus = _unpack(pat[..., None], n_vars, "big")[:, 0]
+            row = plus - minus
+            terms = np.flatnonzero(row)
+            trace.append(ExtractionEvent(n_vars, tuple(zip(terms.tolist(), row[terms].tolist())), len(hits)))
+        sel = np.append(hits, n)
+        n += 1
+        n_vars += 1
 
     # working rows are the outputs, then definition k of variable m.cols + k
-    rows = _unpack(pm.bits[..., : pm.n_rows], pm.n_vars)
+    plus, minus = _unpack(bits[..., :n], n_vars, "big")
+    rows = plus - minus
     order = np.array(_topo_order(rows[m.rows :, m.cols :]), dtype=np.intp)
     return CseResult(m.cols, m.cols + order, *_rows(rows[np.r_[m.rows + order, : m.rows]]))
 

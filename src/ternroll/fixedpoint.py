@@ -94,6 +94,13 @@ def peak(x: np.ndarray) -> int:
     return max(-int(x.min(initial=0)), int(x.max(initial=0)))
 
 
+def exact_type(bound: int) -> type | None:
+    """The narrowest type that represents every integer of magnitude at most
+    ``bound`` exactly: float32 below 2^24, float64 below 2^53, int64 below
+    2^63; None past int64."""
+    return next((t for t, bits in ((np.float32, 24), (np.float64, 53), (np.int64, 63)) if bound < 1 << bits), None)
+
+
 def shift_right_round(p, bits: int, out: np.ndarray | None = None):
     """Divide an integer, or an array of integers in its type, by 2**bits,
     rounding to nearest with ties away from zero; floats need |p| + 2**(bits-1)

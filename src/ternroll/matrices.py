@@ -9,7 +9,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fixedpoint import peak
+from .fixedpoint import exact_type, peak
 
 # an fmx value: optional sign, ASCII digits with an optional point, optional exponent
 _FMX_REAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
@@ -81,8 +81,10 @@ class FrozenArrays:
             if not (isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable and a.base is None):
                 given = np.asarray(a)
                 try:
+                    # casting the real parts, not the complex values, keeps
+                    # numpy's warning off: the check below sees the imaginary ones
                     with np.errstate(invalid="ignore"):
-                        a = given.astype(dtype)
+                        a = (given.real if given.dtype.kind == "c" else given).astype(dtype)
                     # comparing in the promoted type catches a wrap, casting
                     # back catches a rounding: an int past float64's 53 bits
                     # compares equal to its rounded float
@@ -194,12 +196,12 @@ class TernaryMatrix(FrozenArrays):
         could wrap: ValueError.
         """
         bound = self._fullest * peak
-        for dtype, bits in ((np.float32, 24), (np.float64, 53), (np.int64, 63)):
-            if bound < 1 << bits:
-                return dtype
-        raise ValueError(
-            f"{self.rows}x{self.cols} product with |x| up to {peak} can reach {bound}, past int64"
-        )
+        dtype = exact_type(bound)
+        if dtype is None:
+            raise ValueError(
+                f"{self.rows}x{self.cols} product with |x| up to {peak} can reach {bound}, past int64"
+            )
+        return dtype
 
     @cached_property
     def _transpose32(self) -> np.ndarray:

@@ -25,6 +25,7 @@ from .fixedpoint import (
     SCALE_FORMAT,
     FixedPointFormat,
     SaturationCounter,
+    exact_type,
     peak,
     quantize,
     saturate,
@@ -145,9 +146,10 @@ class _ScaleShift:
         fmt = self.scale_fmt
         rounded = x_peak * self.c_peak + (fmt.scale >> 1)
         bound = max(rounded, (rounded >> fmt.frac_bits) + self.b_peak)
-        if bound >= 1 << 63:
+        dtype = exact_type(bound)
+        if dtype is None:
             raise ValueError(f"scale-shift by {fmt} constants and {self.act_fmt} shifts overflows int64")
-        return next(t for t, bits in ((np.float32, 24), (np.float64, 53), (np.int64, 63)) if bound < 1 << bits)
+        return dtype
 
     def __call__(self, x: np.ndarray, act: str, counter: SaturationCounter | None, dtype: type) -> np.ndarray:
         """The outputs for integer-valued ``x``, computed and returned in the
@@ -283,7 +285,7 @@ def simulate(
             f"{act} has {act.frac_bits}"
         )
     steps = _steps(net, weights, peak(img.data))
-    held = next(t for t, bits in ((np.float32, 24), (np.float64, 53), (np.int64, 63)) if -act.raw_min <= 1 << bits)
+    held = exact_type(act.raw_max)
     counter = SaturationCounter()
     x = img.data  # (H, W, C) before the flattening Mux, a vector after it
     for idx, layer in enumerate(net.layers):

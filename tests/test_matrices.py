@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -57,6 +59,15 @@ def test_entry_validation():
 def test_value_types_refuse_a_cast_that_changes_a_value(make, value, dtype):
     with pytest.raises(ValueError, match=f"a value changes when cast to {dtype}$"):
         make(value)
+
+
+def test_complex_input_is_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make, value in ((FloatMatrix, [[1 + 1j]]), (ImageStream, [[[1 + 1j]]])):
+            with pytest.raises(ValueError, match="a value changes when cast to"):
+                make(value)
+        assert TernaryMatrix([[1 + 0j]]) == TernaryMatrix([[1]])
 
 
 def test_immutable():
