@@ -11,7 +11,10 @@ working set as a fresh row so its own sub-patterns stay discoverable.
 Both passes hold their terms as packed ``uint64`` bitsets, written and read
 by one bit codec (``_pack``, ``_unpack``), and score every pair of items,
 variables for ``td`` and working rows for ``bu``, in one pair table
-(``_PairTable``) that an extraction updates only where it changed. Both are
+(``_PairTable``) that an extraction updates only where it changed. The
+table keeps only an upper bound on each row's largest value and settles it
+when a pick reaches it, and ``bu`` keeps its tied pairs in a heap across
+steps, so a step re-derives only what its extraction changed. Both are
 deterministic: frequency or size decides first, then the documented
 tie-breaks. Both preserve exact symbolic equivalence, which
 ``find_counterexample`` proves by expanding a result's paths
@@ -149,12 +152,14 @@ def no_cse(m: TernaryMatrix) -> CseResult:
 
 class _PairTable:
     """A symmetric (cap, cap) table of one value per pair of items, and
-    ``best``, each row's largest value; an item's pair with itself is 0.
+    ``best``, an upper bound on each row's largest value; an item's pair
+    with itself is 0.
 
     ``td`` scores pairs of variables in one, ``bu`` pairs of working rows.
     An extraction changes the pairs of only a few items, so ``set``
-    rewrites only their rows and columns, and recomputes ``best`` only for
-    the rows whose largest value fell.
+    rewrites only their rows and columns. It makes ``best`` exact for those
+    rows and only raises it elsewhere, so a row whose pairs fell keeps a
+    stale bound until ``top`` reaches it and settles it.
     """
 
     def __init__(self, cap: int, dtype: type) -> None:
@@ -166,18 +171,29 @@ class _PairTable:
         0..n-1, into row and column ``sel[k]``, its diagonal zeroed."""
         n = new.shape[1]
         new[np.arange(len(sel)), sel] = 0
-        old = self.values[sel, :n]
         self.values[sel, :n] = new
         self.values[:n, sel] = new.T
-        # per item x, the largest value of the pairs (c, x), c in sel, before and after
-        old_max = old.max(axis=0, initial=0)
-        new_max = new.max(axis=0, initial=0)
         best = self.best[:n]
-        stale = (old_max == best) & (new_max < old_max)
-        stale[sel] = True
-        np.maximum(best, new_max, out=best)
-        stale = np.flatnonzero(stale)
-        best[stale] = self.values[stale, :n].max(axis=1, initial=0)
+        np.maximum(best, new.max(axis=0, initial=0), out=best)
+        best[sel] = new.max(axis=1, initial=0)
+
+    def top(self, n: int) -> tuple[int, int]:
+        """The first pair (i, j) holding the largest value among items 0..n-1.
+
+        Takes the first argmax i of the bound and the first argmax j of row
+        i; while row i's largest value is below its bound, lowers the bound
+        to it and takes again. The bound is at least every row's largest
+        value, so the i that settles is the smallest row holding the
+        largest value, as the first argmax of exact row maxima would be.
+        """
+        best = self.best[:n]
+        while True:
+            i = int(best.argmax())
+            row = self.values[i, :n]
+            j = int(row.argmax())
+            if row[j] == best[i]:
+                return i, j
+            best[i] = row[j]
 
     def grow(self, cap: int) -> None:
         """Enlarge the table to (cap, cap), keeping its values."""
@@ -186,6 +202,11 @@ class _PairTable:
         values[:n, :n] = self.values
         self.values = values
         self.best = np.pad(self.best, (0, cap - n))
+
+
+def _check_limit(max_extractions: int | None) -> None:
+    if max_extractions is not None and max_extractions < 0:
+        raise ValueError(f"max_extractions must be at least 0, got {max_extractions}")
 
 
 def _words(n_bits: int) -> int:
@@ -265,14 +286,17 @@ def td_cse(
     pair (u, v) has one integer key, count * 64w + (64w - 1 - first row)
     (see ``_pair_keys``), which orders by frequency, then first row; a key
     below 2 * 64w is a pair in fewer than two rows. A ``_PairTable`` holds
-    the larger of each pair's two keys. The first argmax of its ``best`` is
-    the smallest i among the winners and the first argmax of row i the
+    the larger of each pair's two keys. Its settled argmax (``top``) is the
+    smallest i among the winners and the first argmax of row i the
     smallest j. The winner's orientation is the one its key describes, read
     off as the relative sign of i and j in its first row: the two
     orientations of a pair never share a row, so they never tie, and this
     is the tie-break above. An extraction changes only the pairs of i, j
-    and the new variable, so only those three are set again.
+    and the new variable, so only those three are set again; the bounds of
+    the variables whose pairs with i and j fell stay stale until ``top``
+    reaches them.
     """
+    _check_limit(max_extractions)
     n_rows, n_inputs = m.rows, m.cols
     n_terms = int(np.count_nonzero(m.entries))
     # each extraction removes at least two row terms
@@ -294,12 +318,11 @@ def td_cse(
     def_var: list[int] = []  # definition k, of variable n_inputs + k, is +x_i ±x_j with i < j
     def_sign: list[int] = []
     n = n_inputs
-    while max_extractions is None or n - n_inputs < max_extractions:
-        i = int(table.best[:n].argmax())
-        if table.best[i] < 2 * span:
-            break
-        j = int(table.values[i, :n].argmax())
+    while n - n_inputs < most:
+        i, j = table.top(n)
         count, rank = divmod(int(table.values[i, j]), span)
+        if count < 2:
+            break
         # the winner's orientation is the relative sign of i and j in its first row
         word, bit = divmod(span - 1 - rank, 64)
         differ = bits[0, :, i] ^ bits[0, :, j]
@@ -355,6 +378,39 @@ def _topo_order(defs: np.ndarray) -> list[int]:
     return order
 
 
+def _offers(bits: np.ndarray, r: np.ndarray, s: np.ndarray, size: int, at: int) -> list:
+    """``bu``'s heap entries (key, r, s, at, pattern) of the working row
+    pairs (r, s), each sharing ``size`` terms, offered at working row count
+    ``at``; ``bits`` holds the rows' (P, N) words in use.
+
+    A pair offers its larger orientation (the direct one on equal size),
+    signed so that its smallest variable is added. The key is the pattern's
+    sorted variables as big-endian uint32, then a byte per term, 1 where it
+    is subtracted: for patterns of one size, byte order is the tie order.
+    """
+    a, b = bits[:, :, r], bits[:, :, s]
+    direct, negated = a & b, a & b[::-1]
+    d = np.bitwise_count(direct).sum(axis=(0, 1))
+    neg = np.bitwise_count(negated).sum(axis=(0, 1))
+    if (np.maximum(d, neg) != size).any():
+        raise RuntimeError("pattern table disagrees with row contents")
+    pats = np.where(d >= neg, direct, negated)
+    k, word = np.nonzero((pats[0] | pats[1]).T)  # each pattern's words in use, in order
+    plus, minus = _unpack(pats[:, word, k][:, None], 64, "big")
+    at_bit, bit = np.nonzero(plus | minus)
+    var = (64 * word[at_bit] + bit).reshape(-1, size)
+    minus = minus[at_bit, bit].reshape(-1, size)
+    flip = minus[:, 0] == 1
+    minus[flip] ^= 1
+    pats[:, :, flip] = pats[::-1, :, flip]
+    key = np.concatenate([var.astype(">u4").view(np.uint8), minus.view(np.uint8)], axis=1).tobytes()
+    width = 5 * size
+    return [
+        (key[x * width : (x + 1) * width], u, v, at, pats[:, :, x])
+        for x, (u, v) in enumerate(zip(r.tolist(), s.tolist()))
+    ]
+
+
 def bu_cse(
     m: TernaryMatrix,
     *,
@@ -374,12 +430,26 @@ def bu_cse(
 
     Each working row is two packed bitsets, words first: P, the variables
     it adds, and N, those it subtracts; variable v is bit 63 - v % 64 of
-    word v // 64 (``_pack``'s ``"big"`` order). Rows u and v share a direct
-    pattern of d = |P_u & P_v| + |N_u & N_v| terms and a negated one of
-    n = |P_u & N_v| + |N_u & P_v| terms; a ``_PairTable`` holds max(d, n),
-    counted exactly by popcounts over the words in use, and each extraction
-    sets again only the rows it rewrote and the appended one.
+    word v // 64 (``_pack``'s ``"big"`` order). Of the H = (P_u | N_u) &
+    (P_v | N_v) variables rows u and v share, n = |(P_u ^ P_v) & H| have
+    opposite signs, the negated pattern, and d = |H| - n the same sign,
+    the direct one. A ``_PairTable`` holds max(d, n), counted exactly by
+    popcounts over the words in use, and each extraction sets again only
+    the rows it rewrote and the appended one.
+
+    The pairs at the largest size are kept across steps in a heap keyed by
+    the tie order above (see ``_offers``); which of the pairs offering one
+    pattern comes first does not matter, since they extract the same
+    thing. A key holds variable indices, not a mask, so it does not depend
+    on the row width when it was offered. No pair ever exceeds the largest
+    size: an extraction removes shared terms, and its new variable enters
+    only the rows it rewrote. So once the rows just set push their pairs at
+    that size, the heap holds every such pair; an entry is stale once one
+    of its rows has been set since, which a per-row stamp detects. Only
+    when the heap runs empty is the bound settled to the next size and the
+    heap rebuilt.
     """
+    _check_limit(max_extractions)
     n, n_vars = m.rows, m.cols  # working rows, variables
     # room for one appended row per 8 terms, about what measured runs
     # needed; grown by half when full. Each appended row brings at most
@@ -389,54 +459,54 @@ def bu_cse(
     bits[..., :n] = _pack(np.stack([m.entries > 0, m.entries < 0]), bits.shape[1], "big")
     # no working row ever grows, so no size exceeds the widest row
     table = _PairTable(cap, np.min_scalar_type(n_vars))
-    sel = np.arange(n)  # the rows to set
-    while True:
-        w = _words(n_vars)
-        rows = bits[:, :w, None, :n]
-        step = max(1, (1 << 20) // (n * 2 * w))
-        for lo in range(0, len(sel), step):
-            part = sel[lo : lo + step]
-            a = bits[:, :w, part, None]
-            direct = np.bitwise_count(a & rows).sum(axis=(0, 1))
-            negated = np.bitwise_count(a & rows[::-1]).sum(axis=(0, 1))
-            table.set(part, np.maximum(direct, negated).astype(table.values.dtype))
-        size = int(table.best[:n].max())
-        if size <= 1 or max_extractions is not None and n - m.rows >= max_extractions:
-            break
+    changed = np.zeros(cap, dtype=np.int64)  # the working row count when each row was last set
+    tied: list = []  # a heap of (key, r, s, working row count, pattern) offers at ``size``
+    size = 0
 
-        # Each tied pair (r, s), r < s, offers its larger orientation (the
-        # direct one on equal size), signed as in row r, then negated if its
-        # smallest variable is subtracted. All patterns have ``size`` terms,
-        # so the smallest sorted variable tuple is the largest P|N mask read
-        # word by word; then the smallest sign tuple, + before -, is the
-        # smallest N mask; and a stable sort keeps (r, s) in row order.
-        tied = np.flatnonzero(table.best[:n] == size)
-        t, s = np.nonzero(table.values[tied, :n] == size)
-        r = tied[t]
-        r, s = r[r < s], s[r < s]
-        a, b = bits[:, :w, r], bits[:, :w, s]
-        direct, negated = a & b, a & b[::-1]
-        d = np.bitwise_count(direct).sum(axis=(0, 1))
-        neg = np.bitwise_count(negated).sum(axis=(0, 1))
-        if (np.maximum(d, neg) != size).any():
-            raise RuntimeError("pattern table disagrees with row contents")
-        pats = np.where(d >= neg, direct, negated)
-        used = pats[0] | pats[1]
-        # P and N are disjoint, so the one holding the first variable is the
-        # larger in the first word in use
-        lead = (used != 0).argmax(axis=0)
-        k = np.arange(len(r))
-        flip = pats[1, lead, k] > pats[0, lead, k]
-        pats[:, :, flip] = pats[::-1, :, flip]
-        pat = pats[:, :, np.lexsort(np.concatenate([pats[1, ::-1], ~used[::-1]]))[0]]
+    sel = np.arange(n)  # the rows to set
+    while max_extractions is None or n - m.rows < max_extractions:
+        w = _words(n_vars)
+        plus = bits[0, :w, None, :n]
+        held = plus | bits[1, :w, None, :n]
+        step = max(1, (1 << 20) // (n * w))
+        for lo in range(0, len(sel), step):
+            a = bits[:, :w, sel[lo : lo + step], None]
+            both = (a[0] | a[1]) & held
+            mixed = (a[0] ^ plus) & both
+            shared = np.bitwise_count(both).sum(axis=0, dtype=table.values.dtype)
+            negated = np.bitwise_count(mixed).sum(axis=0, dtype=table.values.dtype)
+            table.set(sel[lo : lo + step], np.maximum(shared - negated, negated))
+
+        # the rows just set offer their pairs at ``size``; entries whose rows
+        # were set after they were offered are stale
+        if tied:
+            t, s = np.nonzero(table.values[sel, :n] == size)
+            if len(t):
+                r = sel[t]
+                once = (r < s) | (changed[s] < n)  # a pair of two rows just set is found twice
+                for entry in _offers(bits[:, :w], r[once], s[once], size, n):
+                    heapq.heappush(tied, entry)
+        while tied and max(changed[tied[0][1]], changed[tied[0][2]]) > tied[0][3]:
+            heapq.heappop(tied)
+        if not tied:
+            # settle the bound to the largest size, and gather its pairs
+            i, j = table.top(n)
+            size = int(table.values[i, j])
+            if size <= 1:
+                break
+            reach = np.flatnonzero(table.best[:n] >= size)  # every row holding a pair at size
+            t, s = np.nonzero(table.values[reach, :n] == size)
+            r = reach[t]
+            tied = _offers(bits[:, :w], r[r < s], s[r < s], size, n)
+            heapq.heapify(tied)
+        pat = heapq.heappop(tied)[-1]
 
         # replace the pattern by a new variable in every row holding it,
         # subtracted where it is negated, then append it as a row
-        used = pat[0] | pat[1]
+        used = pat[0] | pat[1]  # the words of the width it was offered at
         cols = np.flatnonzero(used)
-        sub, p = bits[:, cols, :n], pat[:, cols, None]
-        has = ((sub & p) == p).all(axis=(0, 1))
-        has_neg = ((sub & p[::-1]) == p[::-1]).all(axis=(0, 1))
+        sub, p = bits[:, cols, :n], np.stack([pat, pat[::-1]])[:, :, cols, None]
+        has, has_neg = ((sub & p) == p).all(axis=(1, 2))
         hits = np.flatnonzero(has | has_neg)
         if len(hits) < 2:
             raise RuntimeError("pattern matched fewer than two rows; invariant violated")
@@ -444,10 +514,11 @@ def bu_cse(
             cap = n + n // 2 + 1
             bits = np.pad(bits, ((0, 0), (0, _words(n_vars + cap - n) - bits.shape[1]), (0, cap - n)))
             table.grow(cap)
+            changed = np.pad(changed, (0, cap - n))
         word, bit = divmod(n_vars, 64)
-        bits[:, :w, hits] &= ~used[:, None]
+        bits[:, : len(used), hits] &= ~used[:, None]
         bits[has_neg[hits].astype(np.intp), word, hits] |= np.uint64(1 << (63 - bit))
-        bits[:, :w, n] = pat
+        bits[:, : len(used), n] = pat
         if trace is not None:
             plus, minus = _unpack(pat[..., None], n_vars, "big")[:, 0]
             row = plus - minus
@@ -456,6 +527,7 @@ def bu_cse(
         sel = np.append(hits, n)
         n += 1
         n_vars += 1
+        changed[sel] = n
 
     # working rows are the outputs, then definition k of variable m.cols + k
     plus, minus = _unpack(bits[..., :n], n_vars, "big")

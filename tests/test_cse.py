@@ -287,6 +287,13 @@ def test_bu_three_row_exhaustive_oracle():
     assert find_counterexample(m, r) is None
 
 
+@pytest.mark.parametrize("engine", [td_cse, bu_cse], ids=["td", "bu"])
+def test_negative_max_extractions_refused(engine):
+    m = TernaryMatrix(np.array([[1, 1, -1], [1, 1, 1]], dtype=np.int8))
+    with pytest.raises(ValueError, match="max_extractions must be at least 0, got -1"):
+        engine(m, max_extractions=-1)
+
+
 # ---------------------------------------------------------------------------
 # Equivalence checking
 
