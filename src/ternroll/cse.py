@@ -136,9 +136,16 @@ class ExtractionEvent:
 
 
 def _rows(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The compressed rows (start, variable, sign) of a sign matrix."""
-    rows, cols = np.nonzero(signs)  # row-major, so each row's columns ascend
-    return np.searchsorted(rows, np.arange(len(signs) + 1)), cols, signs[rows, cols]
+    """The compressed rows (start, variable, sign) of a sign matrix, read-only
+    arrays that own their data."""
+    flat = signs.ravel()  # row-major, so each row's columns ascend
+    at = flat.nonzero()[0]
+    start = np.zeros(len(signs) + 1, np.int64)
+    np.cumsum(np.count_nonzero(signs, axis=1), out=start[1:])
+    out = start, at % signs.shape[1], flat[at]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def no_cse(m: TernaryMatrix) -> CseResult:

@@ -79,7 +79,15 @@ def emit(g: AdderGraph) -> str:
     table = np.zeros((len(words), width), np.uint8)
     for code, word in enumerate(words):
         table[code, : len(word)] = np.frombuffer(word.encode("ascii"), np.uint8)
-    buf = table.view(f"V{width}")[lit, 0].view(np.uint8).reshape(total, width)
+    # one buffer for the whole text: the header, the token rows, the last newline
+    head = head.encode("ascii")
+    text = np.empty(len(head) + total * width + 1, np.uint8)
+    text[: len(head)] = np.frombuffer(head, np.uint8)
+    text[-1] = ord("\n")
+    buf = text[len(head) : -1].reshape(total, width)
+    # "clip" writes straight into ``buf``; "raise" would gather into a temporary
+    # first, and every code indexes ``table``
+    np.take(table.view(f"V{width}")[:, 0], lit, out=buf.view(f"V{width}")[:, 0], mode="clip")
     del lit
     # the digits right-aligned, NUL where the number has run out
     r = np.empty_like(val)
@@ -91,10 +99,10 @@ def emit(g: AdderGraph) -> str:
             r *= more
         buf[:, col] = r
     buf[bare, -1] = 0
-    del val, r, more
-    data = buf.tobytes()
-    del buf
-    return head + data.translate(None, b"\0").decode("ascii") + "\n"
+    del val, r, more, buf
+    data = text.tobytes()
+    del text
+    return data.translate(None, b"\0").decode("ascii")
 
 
 def _fail(lineno: int, msg: str) -> NetlistParseError:

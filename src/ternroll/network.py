@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .fixedpoint import ACT_FORMAT, SCALE_FORMAT, FixedPointFormat
+from .ternarize import epsilon_error
 
 LAYER_KINDS = ("Buffer", "Conv", "MaxPool", "ScaleShift", "Mux", "Dense", "Fifo")
 ACTIVATIONS = ("None", "ReLU")
@@ -48,8 +49,9 @@ class LayerSpec:
             raise NetworkFormatError("in_width and in_channels must be >= 1")
         if self.kernel < 1 or self.stride < 1:
             raise NetworkFormatError("kernel and stride must be >= 1")
-        if self.epsilon < 0:
-            raise NetworkFormatError("epsilon must be >= 0")
+        why = epsilon_error(self.epsilon)
+        if why:
+            raise NetworkFormatError(why)
         if self.pixel_interval < 0:
             raise NetworkFormatError("pixel_interval must be >= 0 (0 = inferred)")
         if self.kind == "Conv":

@@ -11,8 +11,9 @@ distinct node kind.
 
 from __future__ import annotations
 
+import copy
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -398,6 +399,8 @@ def schedule_serial(g: AdderGraph, pixel_interval: int) -> AdderGraph:
     D = min(M, total_bits) digits of total_bits/D bits each. The semantic
     value of every node is unchanged; the cycle model charges D cycles per
     sample and latency depth + D - 1, and the area estimate scales by 1/D.
+    The result shares ``g``'s read-only arrays; only the digit rule is
+    checked again, since nothing else changes.
     """
     if pixel_interval < 1:
         raise ValueError(f"pixel interval must be >= 1, got {pixel_interval}")
@@ -407,7 +410,9 @@ def schedule_serial(g: AdderGraph, pixel_interval: int) -> AdderGraph:
             f"pixel interval {pixel_interval} gives {digits} digits, "
             f"which do not divide {g.total_bits} bits into a legal digit width"
         )
-    return replace(g, digits=digits)
+    scheduled = copy.copy(g)  # no __post_init__: the rest of g is checked
+    object.__setattr__(scheduled, "digits", digits)
+    return scheduled
 
 
 def area_slice_estimate(g: AdderGraph) -> float:

@@ -85,6 +85,20 @@ def test_sweep_eps(tmp_path, capsys, rng):
     assert all(l.startswith("eps=") and " sparsity=" in l for l in lines)
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["ternarize", "sweep-eps"])
+def test_non_finite_eps_exits_2(tmp_path, capsys, command, eps):
+    fin = tmp_path / "w.fmx"
+    fout = tmp_path / "w.tmx"
+    dump_fmx(FloatMatrix(np.array([[0.5, -0.2, 0.9, 0.05]])), str(fin))
+    args = [f"--eps={eps}", str(fin), str(fout)] if command == "ternarize" else [f"--eps=0.5,{eps}", str(fin)]
+    assert main([command, *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"ternroll: epsilon must be a finite number >= 0, got {eps}"]
+    assert not fout.exists()
+
+
 def test_cse_first_definition_line(tmp_path, m7x6_file, capsys):
     out = tmp_path / "m7x6.cse"
     assert main(["cse", "--method", "td", m7x6_file, str(out)]) == 0

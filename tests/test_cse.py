@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ternroll import cse
 from ternroll import (
     TernaryMatrix,
     bu_cse,
@@ -484,3 +486,52 @@ def test_expression_stats(m7x6):
     assert r.stats.extractions == len(defs)
     n_terms = sum(len(t) for _, t in defs) + sum(len(t) for t in outs)
     assert r.stats.total_terms == n_terms
+
+
+# ---------------------------------------------------------------------------
+# Compressed rows of a sign matrix
+
+
+def _rows_ref(signs):
+    """The compressed rows of ``signs`` from the 2-D ``np.nonzero``."""
+    rows, cols = np.nonzero(signs)  # row-major, so each row's columns ascend
+    return np.searchsorted(rows, np.arange(len(signs) + 1)), cols, signs[rows, cols]
+
+
+def _assert_rows_match(signs):
+    got, want = cse._rows(signs), _rows_ref(signs)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w) and g.dtype == w.dtype
+        assert not g.flags.writeable and g.base is None
+
+
+@pytest.mark.parametrize(
+    "signs",
+    [
+        np.zeros((3, 4), np.int8),
+        np.zeros((0, 5), np.int8),
+        np.array([[1, 0, -1], [0, 0, 0], [0, 0, 0], [0, -1, 0], [0, 0, 0]], np.int8),
+        np.array([[1], [0], [-1], [1]], np.int8),
+        random_ternary(5, 130, 0.6, np.random.default_rng(3)).entries,
+        random_ternary(130, 7, 0.6, np.random.default_rng(4)).entries.T,  # as td_cse passes its variables
+    ],
+    ids=["all-zero", "no-rows", "zero-rows-between", "one-column", "130-columns", "transposed"],
+)
+def test_rows_match_the_2d_nonzero(signs):
+    _assert_rows_match(signs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.int8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=40), elements=st.integers(-1, 1)),
+       st.booleans())
+def test_rows_of_drawn_sign_matrices_match_the_2d_nonzero(signs, transpose):
+    _assert_rows_match(signs.T if transpose else signs)
+
+
+def test_no_cse_keeps_the_rows_it_is_given(monkeypatch, m7x6):
+    made = []
+    rows = cse._rows
+    monkeypatch.setattr(cse, "_rows", lambda signs: made.append(rows(signs)) or made[-1])
+    r = no_cse(m7x6)
+    assert len(made) == 1
+    assert all(a is b for a, b in zip((r.term_start, r.term_var, r.term_sign), made[0]))

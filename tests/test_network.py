@@ -107,6 +107,12 @@ def test_even_conv_kernel_rejected():
         LayerSpec("Conv", 8, 1, kernel=2, filters=4)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"), -0.5], ids=["nan", "inf", "-inf", "negative"])
+def test_layer_epsilon_must_be_finite_and_non_negative(eps):
+    with pytest.raises(NetworkFormatError, match=f"^epsilon must be a finite number >= 0, got {eps}$"):
+        LayerSpec("Conv", 8, 1, kernel=3, filters=4, epsilon=eps)
+
+
 def test_round_trip():
     net = parse_network(json.dumps(small_net_obj()))
     again = parse_network(format_network(net))

@@ -35,6 +35,28 @@ def test_negative_eps_rejected():
         ternarize(FloatMatrix(np.ones((1, 1))), -0.1)
 
 
+NON_FINITE = pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+
+
+@NON_FINITE
+def test_non_finite_eps_rejected_by_ternarize(eps):
+    with pytest.raises(ValueError, match=f"^epsilon must be a finite number >= 0, got {eps}$"):
+        ternarize(FloatMatrix(np.ones((1, 1))), eps)
+
+
+@NON_FINITE
+def test_non_finite_eps_rejected_by_threshold(eps):
+    with pytest.raises(ValueError, match=f"^epsilon must be a finite number >= 0, got {eps}$"):
+        threshold(FloatMatrix(np.ones((1, 1))), eps)
+
+
+@NON_FINITE
+def test_non_finite_eps_rejected_by_sweep(eps):
+    # a NaN compares false, so the ascending check alone let it through
+    with pytest.raises(ValueError, match=f"^epsilon must be a finite number >= 0, got {eps}$"):
+        sparsity_sweep(FloatMatrix(np.ones((2, 2))), [0.5, eps])
+
+
 def test_boundary_is_strict():
     # mean |w| = 2.0, eps = 1.0 -> delta = 2.0; |w| == delta survives
     w = FloatMatrix(np.array([[1.0, 2.0, 3.0, 2.0]]))

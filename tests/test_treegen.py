@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -219,6 +220,24 @@ def test_schedule_illegal_interval(filter_matrix):
         schedule_serial(g, 3)
     with pytest.raises(ValueError):
         schedule_serial(g, 0)
+
+
+def test_schedule_serial_runs_no_graph_check(filter_matrix, monkeypatch):
+    g = build_tree(no_cse(filter_matrix), 2)
+    checks = []
+    check = AdderGraph.__post_init__
+    monkeypatch.setattr(AdderGraph, "__post_init__", lambda self: checks.append(self) or check(self))
+    for interval, digits, width in ((1, 1, 16), (4, 4, 4), (16, 16, 1), (64, 16, 1)):
+        s = schedule_serial(g, interval)
+        assert (s.digits, s.digit_width) == (digits, width)
+        assert all(getattr(s, f.name) is getattr(g, f.name) for f in dataclasses.fields(g) if f.name != "digits")
+    assert checks == [] and g.digits == 1
+    with pytest.raises(ValueError, match=r"^pixel interval must be >= 1, got 0$"):
+        schedule_serial(g, 0)
+    with pytest.raises(
+        ValueError, match=r"^pixel interval 3 gives 3 digits, which do not divide 16 bits into a legal digit width$"
+    ):
+        schedule_serial(g, 3)
 
 
 def test_serial_sum_examples():
